@@ -42,12 +42,12 @@ class CliConfig:
     columns: ColumnMap
     output: Path | None
     output_format: str | None
-    threads: int
     seed: int
     generate: GeneratorSpec | None
 
 
 def _config_from_args(args: argparse.Namespace) -> CliConfig:
+    # --threads and VW_THREADS have no effect but are still validated.
     threads = args.threads
     if threads is None:
         env = os.environ.get("VW_THREADS", "1")
@@ -83,7 +83,6 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
         columns=columns,
         output=Path(args.output) if args.output else None,
         output_format=args.output_format,
-        threads=threads,
         seed=args.seed,
         generate=generate,
     )
@@ -176,7 +175,7 @@ def _write_output(config: CliConfig, text: str) -> None:
 
 
 def cmd_variants(config: CliConfig, args, log: EventLog, parse_seconds: float) -> int:
-    table = variant_table(log, threads=config.threads)
+    table = variant_table(log)
     fmt = _resolve_output_format(config, default="json", allowed={"json", "text"})
     if fmt == "json":
         payload = {
@@ -205,7 +204,7 @@ def cmd_variants(config: CliConfig, args, log: EventLog, parse_seconds: float) -
 
 
 def cmd_render(config: CliConfig, args, log: EventLog, parse_seconds: float) -> int:
-    table = variant_table(log, threads=config.threads)
+    table = variant_table(log)
     if args.key is not None:
         entry = table.entries.get(args.key)
         if entry is None:
@@ -227,7 +226,7 @@ def cmd_render(config: CliConfig, args, log: EventLog, parse_seconds: float) -> 
 
 
 def cmd_stats(config: CliConfig, args, log: EventLog, parse_seconds: float) -> int:
-    rep = report(log, threads=config.threads, extra_preprocessing_seconds=parse_seconds)
+    rep = report(log, extra_preprocessing_seconds=parse_seconds)
     fmt = _resolve_output_format(config, default="text", allowed={"json", "text"})
     if fmt == "json":
         _write_output(config, json.dumps(report_to_json(rep), indent=2) + "\n")
@@ -256,7 +255,7 @@ def cmd_check(config: CliConfig, args, log: EventLog, parse_seconds: float) -> i
 def cmd_bench(config: CliConfig, args, log: EventLog, parse_seconds: float) -> int:
     runs = []
     for _ in range(args.repeat):
-        runs.append(report(log, threads=config.threads))
+        runs.append(report(log))
     phases = {
         "preprocessing": [r.timings.preprocessing for r in runs],
         "building_orders": [r.timings.building_orders for r in runs],
@@ -309,7 +308,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--threads", type=int, default=None,
-        help="worker threads; falls back to VW_THREADS, then 1",
+        help=(
+            "accepted for compatibility and has no effect: the pipeline runs in "
+            "one thread, output bytes are the same (VW_THREADS likewise)"
+        ),
     )
     common.add_argument("--seed", type=int, default=0, help="seed for colors and --generate")
 

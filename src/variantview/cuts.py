@@ -18,8 +18,6 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .order import IntervalOrder
 
 
@@ -107,19 +105,15 @@ def maximal_parallel_cut(order: IntervalOrder) -> CutResult:
     members: dict[int, list] = {}
     for i, v in enumerate(verts):
         members.setdefault(find(i), []).append(i)
-    # Vertices are scanned in (start, complete, label) order, so the first
-    # member of each component is its minimum.
-    blocks = sorted(members.values(), key=lambda b: instance_key(verts[b[0]]))
+    # Vertices are scanned in (start, complete, label) order, so components
+    # enter ``members`` in the order of their minimum members.
+    blocks = list(members.values())
     if len(blocks) < 2:
         return NO_CUT
     return CutResult(
         CutKind.PARALLEL,
         tuple(frozenset(verts[i].id for i in block) for block in blocks),
     )
-
-
-def instance_key(v) -> tuple:
-    return (v.start_ts, v.complete_ts, v.label)
 
 
 def find_cut(order: IntervalOrder) -> CutResult:
@@ -158,14 +152,12 @@ def brute_force_ordering_cut(order: IntervalOrder) -> CutResult:
     full = (1 << n) - 1
 
     # P qualifies iff union of non-successors over its members stays inside P.
-    non_succ = np.array([full & ~succ[i] for i in range(n)], dtype=np.uint32)
-    required = np.zeros(1 << n, dtype=np.uint32)
+    # required[m] is that union for the subset with bit mask m.
+    required = [0]
     for b in range(n):
-        size = 1 << b
-        required[size : 2 * size] = required[:size] | non_succ[b]
-    masks = np.arange(1 << n, dtype=np.uint32)
-    valid = (required & ~masks) == 0
-    prefixes = [int(m) for m in np.nonzero(valid)[0] if 0 < int(m) < full]
+        non_succ_b = full & ~succ[b]
+        required += [r | non_succ_b for r in required]
+    prefixes = [m for m in range(1, full) if not required[m] & ~m]
     prefixes.sort(key=lambda m: (bin(m).count("1"), m))
 
     block_masks = []

@@ -14,7 +14,7 @@ Fallback labels; everything else is structural.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
+import time
 from dataclasses import dataclass, field
 
 from .cuts import CutKind, find_cut
@@ -148,10 +148,17 @@ class VariantEntry:
 
 @dataclass(slots=True)
 class VariantTable:
-    """Canonical layout key -> occurrence count and representative cases."""
+    """Canonical layout key -> occurrence count and representative cases.
+
+    ``building_orders`` and ``cutting`` are the wall-clock seconds that
+    :func:`variants_of_traces` spent building interval orders and cutting
+    them into keyed layouts.
+    """
 
     entries: dict[str, VariantEntry] = field(default_factory=dict)
     skipped: list[str] = field(default_factory=list)
+    building_orders: float = 0.0
+    cutting: float = 0.0
 
     def add(self, key: str, tree: LayoutTree, case_id: str) -> None:
         entry = self.entries.get(key)
@@ -183,13 +190,19 @@ class VariantTable:
 def variant_table(log: EventLog, threads: int = 1) -> VariantTable:
     """Group the traces of a log into interval-ordered variants.
 
-    The result is independent of ``threads``; traces that cannot be ordered
-    (no instances) land in the ``skipped`` bucket.
+    ``threads`` is accepted for compatibility and has no effect: the pipeline
+    runs in one thread. Traces that cannot be ordered (no instances) land in
+    the ``skipped`` bucket.
     """
-    return variants_of_traces(group_by_case(log), threads=threads)
+    return variants_of_traces(group_by_case(log))
 
 
-def variants_of_traces(traces: list[Trace], threads: int = 1) -> VariantTable:
+def variants_of_traces(traces: list[Trace]) -> VariantTable:
+    """The variant pipeline: order every trace, cut it, key it, aggregate.
+
+    Empty traces are skipped. The table records the wall time of building
+    the orders and of cutting and keying them.
+    """
     table = VariantTable()
     usable = []
     for trace in traces:
@@ -198,17 +211,15 @@ def variants_of_traces(traces: list[Trace], threads: int = 1) -> VariantTable:
         else:
             table.skipped.append(trace.case_id)
 
-    def work(trace: Trace) -> tuple[str, LayoutTree]:
-        tree = layout_trace(trace)
-        return canonical_form(tree), tree
+    t0 = time.perf_counter()
+    orders = [build_interval_order(t) for t in usable]
+    table.building_orders = time.perf_counter() - t0
 
-    # map() preserves input order, so aggregation below is deterministic for
-    # every thread count.
-    if threads > 1 and len(usable) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, usable, chunksize=64))
-    else:
-        results = [work(t) for t in usable]
-    for trace, (key, tree) in zip(usable, results):
+    t0 = time.perf_counter()
+    trees = [build_layout(o) for o in orders]
+    keys = [canonical_form(t) for t in trees]
+    table.cutting = time.perf_counter() - t0
+
+    for trace, key, tree in zip(usable, keys, trees):
         table.add(key, tree, trace.case_id)
     return table

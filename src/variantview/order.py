@@ -55,12 +55,6 @@ class IntervalOrder:
             self._edges = _edges_from_timestamps(self.vertices)
         return self._edges
 
-    def vertex(self, vertex_id) -> ActivityInstance:
-        for v in self.vertices:
-            if v.id == vertex_id:
-                return v
-        raise KeyError(vertex_id)
-
     def __len__(self) -> int:
         return len(self.vertices)
 

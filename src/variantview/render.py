@@ -66,10 +66,11 @@ def render_text(tree: LayoutTree) -> str:
 def render_svg(tree: LayoutTree, config: RenderConfig | None = None) -> str:
     """Render a layout tree as an SVG 1.1 document (byte-deterministic)."""
     cfg = config or RenderConfig()
-    width, height = _measure(tree, cfg)
+    sizes: dict[int, tuple[float, float]] = {}
+    width, height = _measure(tree, cfg, sizes)
     margin = cfg.padding
     parts: list[str] = []
-    _draw(tree, margin, margin, width, height, 0, cfg, parts)
+    _draw(tree, margin, margin, width, height, 0, cfg, sizes, parts)
     total_w, total_h = width + 2 * margin, height + 2 * margin
     head = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -84,23 +85,31 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _measure(tree: LayoutTree, cfg: RenderConfig) -> tuple[float, float]:
+def _measure(
+    tree: LayoutTree, cfg: RenderConfig, sizes: dict[int, tuple[float, float]]
+) -> tuple[float, float]:
+    """Natural (width, height) of a tree; records every node's size in
+    ``sizes`` by node id, so drawing never measures a subtree twice."""
     leaf_w = _LEAF_WIDTH_UNITS * cfg.unit_height
     if isinstance(tree, Leaf):
-        return (leaf_w, cfg.unit_height)
-    if isinstance(tree, Fallback):
-        return (leaf_w, cfg.unit_height * len(tree.labels))
-    sizes = [_measure(c, cfg) for c in tree.children]
-    if isinstance(tree, Sequence):
-        return (
-            sum(w for w, _ in sizes) + cfg.padding * (len(sizes) - 1),
-            max(h for _, h in sizes),
-        )
-    inset_w = 2 * (cfg.chevron_indent + cfg.padding)
-    return (
-        max(w for w, _ in sizes) + inset_w,
-        sum(h for _, h in sizes) + cfg.padding * (len(sizes) + 1),
-    )
+        size = (leaf_w, cfg.unit_height)
+    elif isinstance(tree, Fallback):
+        size = (leaf_w, cfg.unit_height * len(tree.labels))
+    else:
+        child_sizes = [_measure(c, cfg, sizes) for c in tree.children]
+        if isinstance(tree, Sequence):
+            size = (
+                sum(w for w, _ in child_sizes) + cfg.padding * (len(child_sizes) - 1),
+                max(h for _, h in child_sizes),
+            )
+        else:
+            inset_w = 2 * (cfg.chevron_indent + cfg.padding)
+            size = (
+                max(w for w, _ in child_sizes) + inset_w,
+                sum(h for _, h in child_sizes) + cfg.padding * (len(child_sizes) + 1),
+            )
+    sizes[id(tree)] = size
+    return size
 
 
 def _draw(
@@ -111,6 +120,7 @@ def _draw(
     h: float,
     depth: int,
     cfg: RenderConfig,
+    sizes: dict[int, tuple[float, float]],
     out: list[str],
 ) -> None:
     if isinstance(tree, Leaf):
@@ -131,17 +141,17 @@ def _draw(
         return
     if isinstance(tree, Sequence):
         out.append('<g class="seq">\n')
-        sizes = [_measure(c, cfg) for c in tree.children]
-        natural = sum(cw for cw, _ in sizes) + cfg.padding * (len(sizes) - 1)
+        child_sizes = [sizes[id(c)] for c in tree.children]
+        natural = sum(cw for cw, _ in child_sizes) + cfg.padding * (len(child_sizes) - 1)
         extra = max(0.0, w - natural)
-        pool = sum(cw for cw, _ in sizes)
+        pool = sum(cw for cw, _ in child_sizes)
         cursor = x
-        for i, (child, (cw, _)) in enumerate(zip(tree.children, sizes)):
+        for i, (child, (cw, _)) in enumerate(zip(tree.children, child_sizes)):
             give = extra * cw / pool
             cw_final = cw + give
-            if i == len(sizes) - 1:
+            if i == len(child_sizes) - 1:
                 cw_final = x + w - cursor  # close rounding drift exactly
-            _draw(child, cursor, y, cw_final, h, depth, cfg, out)
+            _draw(child, cursor, y, cw_final, h, depth, cfg, sizes, out)
             cursor += cw_final + cfg.padding
         out.append("</g>\n")
         return
@@ -149,16 +159,16 @@ def _draw(
         fill = _CONTAINER_FILLS[depth % len(_CONTAINER_FILLS)]
         out.append('<g class="par">\n')
         out.append(_chevron(x, y, w, h, cfg.chevron_indent, fill))
-        sizes = [_measure(c, cfg) for c in tree.children]
+        child_sizes = [sizes[id(c)] for c in tree.children]
         inner_x = x + cfg.chevron_indent + cfg.padding
         inner_w = w - 2 * (cfg.chevron_indent + cfg.padding)
-        natural = sum(ch for _, ch in sizes) + cfg.padding * (len(sizes) + 1)
+        natural = sum(ch for _, ch in child_sizes) + cfg.padding * (len(child_sizes) + 1)
         extra = max(0.0, h - natural)
-        pool = sum(ch for _, ch in sizes)
+        pool = sum(ch for _, ch in child_sizes)
         cursor = y + cfg.padding
-        for child, (_, ch) in zip(tree.children, sizes):
+        for child, (_, ch) in zip(tree.children, child_sizes):
             ch_final = ch + extra * ch / pool
-            _draw(child, inner_x, cursor, inner_w, ch_final, depth + 1, cfg, out)
+            _draw(child, inner_x, cursor, inner_w, ch_final, depth + 1, cfg, sizes, out)
             cursor += ch_final + cfg.padding
         out.append("</g>\n")
         return

@@ -15,19 +15,11 @@ from __future__ import annotations
 import random
 import string
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
 from .ingest import ActivityInstance, EventLog, SourceMeta, Trace, group_by_case
-from .layout import (
-    LayoutTree,
-    VariantTable,
-    build_layout,
-    canonical_form,
-    layout_trace,
-)
-from .order import build_interval_order
+from .layout import canonical_form, layout_trace, variants_of_traces
 
 
 def classic_variants(log: EventLog) -> dict[tuple[str, ...], int]:
@@ -71,49 +63,23 @@ def report(
     threads: int = 1,
     extra_preprocessing_seconds: float = 0.0,
 ) -> LogReport:
-    """Run the full pipeline with wall-clock instrumentation per phase.
+    """Run the variant pipeline with wall-clock instrumentation per phase.
 
     ``extra_preprocessing_seconds`` lets callers that already parsed a file
-    fold the parse time into the preprocessing phase. Counts are independent
-    of ``threads``.
+    fold the parse time into the preprocessing phase. ``threads`` is accepted
+    for compatibility and has no effect.
     """
     started = time.perf_counter()
 
     t0 = time.perf_counter()
-    traces = [t for t in group_by_case(log) if t.instances]
+    traces = group_by_case(log)
     preprocessing = time.perf_counter() - t0 + extra_preprocessing_seconds
 
+    table = variants_of_traces(traces)
     classic = classic_of_traces(traces)
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 and traces else None
-    try:
-        t0 = time.perf_counter()
-        if pool is not None:
-            orders = list(pool.map(build_interval_order, traces, chunksize=64))
-        else:
-            orders = [build_interval_order(t) for t in traces]
-        building_orders = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        def cut(order) -> tuple[str, LayoutTree]:
-            tree = build_layout(order)
-            return canonical_form(tree), tree
-
-        if pool is not None:
-            keyed = list(pool.map(cut, orders, chunksize=64))
-        else:
-            keyed = [cut(o) for o in orders]
-        cutting = time.perf_counter() - t0
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-    table = VariantTable()
-    for trace, (key, tree) in zip(traces, keyed):
-        table.add(key, tree, trace.case_id)
-
     total = time.perf_counter() - started + extra_preprocessing_seconds
-    num_cases = len(traces)
+    num_cases = table.total_count
     interval_count = len(table.entries)
     fallback_count = table.fallback_variant_count
     return LogReport(
@@ -125,7 +91,7 @@ def report(
         fallback_variant_pct=(100.0 * fallback_count / interval_count)
         if interval_count
         else 0.0,
-        timings=PhaseTimings(preprocessing, building_orders, cutting, total),
+        timings=PhaseTimings(preprocessing, table.building_orders, table.cutting, total),
     )
 
 

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import gzip
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import variantview
 from conftest import DATA
 from variantview.cli import main
 
@@ -291,3 +296,14 @@ class TestThreadsDeterminism:
         _, single, _ = run(capsys, "variants", "--generate", spec, "--threads", "1")
         _, multi, _ = run(capsys, "variants", "--generate", spec, "--threads", "8")
         assert single == multi
+
+
+def test_cli_import_does_not_load_numpy():
+    src = str(Path(variantview.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    probe = "import sys, variantview.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -110,6 +110,10 @@ def test_parallel_cut_equals_reachability(trace):
         assert cut.kind is CutKind.NONE
     else:
         assert set(cut.groups) == components
+        # Components are listed by their minimum vertex position.
+        position = {v.id: i for i, v in enumerate(order.vertices)}
+        minima = [min(position[v] for v in g) for g in cut.groups]
+        assert all(a < b for a, b in zip(minima, minima[1:]))
 
 
 @given(traces())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import xml.etree.ElementTree as ET
 
@@ -163,6 +164,23 @@ class TestRenderSvg:
         small_w = float(_svg_root(small).attrib["width"])
         big_w = float(_svg_root(big).attrib["width"])
         assert big_w > small_w
+
+    # SHA-256 of the SVG documents as rendered before subtree sizes were
+    # cached: the cache must not move a single byte.
+    def test_worked_example_svg_bytes_pinned(self, worked_case):
+        svg = render_svg(layout_trace(worked_case)).encode("utf-8")
+        assert hashlib.sha256(svg).hexdigest() == (
+            "499e9a936fa7641b582c1ba70ed8e1ec2035b9dee5ea19b97595f35a32383e84"
+        )
+
+    def test_deeply_nested_svg_bytes_pinned(self):
+        tree = Fallback(("B", "C"))
+        for _ in range(20):
+            tree = Parallel((Sequence((tree, Leaf("X"))), Leaf("Y")))
+        svg = render_svg(tree).encode("utf-8")
+        assert hashlib.sha256(svg).hexdigest() == (
+            "c1ff881f5b01579a4ca9fa20bfa689fbe537fc1f6c364e9faa432db983a1557d"
+        )
 
 
 class TestColors:
