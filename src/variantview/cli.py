@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import sys
 import time
@@ -174,10 +175,16 @@ def _write_output(config: CliConfig, text: str) -> None:
         config.output.write_text(text, encoding="utf-8")
 
 
+# A "layout" field of a variant in the indented document. JSON strings hold
+# no raw newline, so only the field itself can start a line this way.
+_LAYOUT_SLOT = re.compile(r'^(      "layout": )(\d+)$', re.MULTILINE)
+
+
 def cmd_variants(config: CliConfig, args, log: EventLog, parse_seconds: float) -> int:
     table = variant_table(log)
     fmt = _resolve_output_format(config, default="json", allowed={"json", "text"})
     if fmt == "json":
+        items = table.sorted_items()
         payload = {
             "num_variants": len(table.entries),
             "total_traces": table.total_count,
@@ -188,12 +195,23 @@ def cmd_variants(config: CliConfig, args, log: EventLog, parse_seconds: float) -
                     "count": entry.count,
                     "has_fallback": entry.has_fallback,
                     "representative_cases": entry.case_ids[:5],
-                    "layout": layout_to_json(entry.layout),
+                    "layout": i,
                 }
-                for key, entry in table.sorted_items()
+                for i, (key, entry) in enumerate(items)
             ],
         }
-        _write_output(config, json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
+        # The document is indented but each layout is written compact on one
+        # line, so its size does not grow with layout depth. The layouts go in
+        # after the dump, in place of their index in ``items``.
+        layouts = [
+            json.dumps(layout_to_json(entry.layout), ensure_ascii=False, separators=(",", ":"))
+            for _, entry in items
+        ]
+        text = _LAYOUT_SLOT.sub(
+            lambda m: m[1] + layouts[int(m[2])],
+            json.dumps(payload, ensure_ascii=False, indent=2),
+        )
+        _write_output(config, text + "\n")
     else:
         lines = [
             f"{entry.count}\t{render_text(entry.layout)}"

@@ -6,19 +6,24 @@ partitions them into the connected components of the relation graph. The two
 kinds cannot coexist, and the maximal cut of either kind is unique, which is
 what makes the recursive layout deterministic.
 
-Both detectors run as timestamp sweeps in O(n log n) and assume a valid
-interval order (edges consistent with the vertex timestamps). The
-subset-enumeration oracle works on the edge set alone and exists to verify
-the sweeps.
+Both detectors are O(n) timestamp scans over a run of vertices sorted by
+``instance_sort_key`` and assume a valid interval order (edges consistent
+with the timestamps). Their blocks are sorted runs again (ordering blocks are
+slices, parallel components subsequences), so they can be cut in turn
+without rebuilding a suborder. The subset-enumeration oracle works on the
+edge set alone and exists to verify the scans.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
+from .ingest import ActivityInstance
 from .order import IntervalOrder
+
+Run = Sequence[ActivityInstance]
 
 
 class CutKind(Enum):
@@ -43,77 +48,65 @@ class CutResult:
 NO_CUT = CutResult(CutKind.NONE, ())
 
 
-def maximal_ordering_cut(order: IntervalOrder) -> CutResult:
-    """Detect the unique maximal ordering cut via a start-time sweep.
-
-    A block boundary opens before vertex v exactly when every vertex seen so
-    far completed strictly before v starts, i.e. the running maximum complete
-    timestamp lies strictly below v's start.
-    """
-    verts = order.vertices
-    groups: list[list] = []
-    current: list = [verts[0].id]
+def ordering_blocks(verts: Run) -> list[Run]:
+    """Blocks of the maximal ordering cut of a sorted run, as slices of it;
+    one block means no cut. A boundary opens before vertex v exactly when the
+    running maximum complete timestamp lies strictly below v's start."""
+    blocks = []
+    first = 0
     horizon = verts[0].complete_ts
-    for v in verts[1:]:
+    for i, v in enumerate(verts):
         if horizon < v.start_ts:
-            groups.append(current)
-            current = []
-        current.append(v.id)
-        horizon = max(horizon, v.complete_ts)
-    groups.append(current)
-    if len(groups) < 2:
+            blocks.append(verts[first:i])
+            first = i
+        if horizon < v.complete_ts:
+            horizon = v.complete_ts
+    blocks.append(verts[first:])
+    return blocks
+
+
+def parallel_blocks(verts: Run) -> list[Run]:
+    """Components of the maximal parallel cut of a sorted run, as sorted
+    lists in the order of their first members; one block means no cut."""
+    # v overlaps every vertex, itself included, iff it starts no later than
+    # the earliest complete and completes no earlier than the latest start.
+    earliest = min(v.complete_ts for v in verts)
+    latest = verts[-1].start_ts  # the run is sorted by start
+    blocks: list = []
+    core: list = []  # the one component with more than one vertex
+    for v in verts:
+        if v.start_ts <= earliest and v.complete_ts >= latest:
+            blocks.append([v])
+        else:
+            if not core:
+                blocks.append(core)
+            core.append(v)
+    return blocks
+
+
+def _cut_result(kind: CutKind, blocks: list[Run]) -> CutResult:
+    if len(blocks) < 2:
         return NO_CUT
-    return CutResult(CutKind.ORDERING, tuple(frozenset(g) for g in groups))
+    return CutResult(kind, tuple(frozenset(v.id for v in b) for b in blocks))
+
+
+def maximal_ordering_cut(order: IntervalOrder) -> CutResult:
+    """The unique maximal ordering cut, by :func:`ordering_blocks`."""
+    return _cut_result(CutKind.ORDERING, ordering_blocks(order.vertices))
 
 
 def maximal_parallel_cut(order: IntervalOrder) -> CutResult:
-    """Detect the unique maximal parallel cut: connected components of the
-    relation graph, listed by minimum start (then complete, then label).
+    """The unique maximal parallel cut: connected components of the relation
+    graph, listed by minimum start (then complete, then label).
 
-    Components are found by disjoint-set union over precedence pairs, scanned
-    in start order: whenever some vertex completed strictly before v starts,
-    v, that vertex, and everything previously related to it collapse into one
-    component, so one union against a remembered pool member suffices.
+    Interval orders are 2+2-free, so at most one component has more than one
+    vertex: two such components would each hold an edge, a<b and c<d, with no
+    edge between them. Every other component is a single vertex overlapping
+    all the rest: it starts no later than the earliest complete and completes
+    no earlier than the latest start. :func:`parallel_blocks` tests that per
+    vertex, in O(n) on the sorted vertices.
     """
-    verts = order.vertices
-    n = len(verts)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    completed: list[tuple[int, int]] = []  # (complete_ts, position) min-heap
-    pool_head = -1
-    for i, v in enumerate(verts):
-        old_head = pool_head
-        while completed and completed[0][0] < v.start_ts:
-            _, j = heapq.heappop(completed)
-            union(i, j)
-            pool_head = j
-        if old_head >= 0:
-            union(i, old_head)
-        heapq.heappush(completed, (v.complete_ts, i))
-
-    members: dict[int, list] = {}
-    for i, v in enumerate(verts):
-        members.setdefault(find(i), []).append(i)
-    # Vertices are scanned in (start, complete, label) order, so components
-    # enter ``members`` in the order of their minimum members.
-    blocks = list(members.values())
-    if len(blocks) < 2:
-        return NO_CUT
-    return CutResult(
-        CutKind.PARALLEL,
-        tuple(frozenset(verts[i].id for i in block) for block in blocks),
-    )
+    return _cut_result(CutKind.PARALLEL, parallel_blocks(order.vertices))
 
 
 def find_cut(order: IntervalOrder) -> CutResult:
@@ -122,10 +115,7 @@ def find_cut(order: IntervalOrder) -> CutResult:
     cut = maximal_ordering_cut(order)
     if cut.kind is CutKind.ORDERING:
         return cut
-    cut = maximal_parallel_cut(order)
-    if cut.kind is CutKind.PARALLEL:
-        return cut
-    return NO_CUT
+    return maximal_parallel_cut(order)
 
 
 MAX_ORACLE_VERTICES = 16

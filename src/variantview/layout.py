@@ -17,9 +17,9 @@ import re
 import time
 from dataclasses import dataclass, field
 
-from .cuts import CutKind, find_cut
+from .cuts import ordering_blocks, parallel_blocks
 from .ingest import EventLog, Trace, group_by_case
-from .order import IntervalOrder, build_interval_order, induced_suborder
+from .order import IntervalOrder, build_interval_order
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,23 +46,37 @@ LayoutTree = Leaf | Sequence | Parallel | Fallback
 
 
 def build_layout(order: IntervalOrder) -> LayoutTree:
-    """Recursively decompose an interval order into its layout tree.
+    """Decompose an interval order into its layout tree.
 
     Deterministic: equal orders produce equal trees. Sequence and Parallel
     children appear in block order (time order for parallel components).
+    The walk keeps an explicit stack of sorted vertex runs, so tree depth is
+    not bounded by the recursion limit, and cuts each run in place: blocks
+    are slices or subsequences of their parent's run, never new suborders.
     """
-    if len(order.vertices) == 1:
-        return Leaf(order.vertices[0].label)
-    cut = find_cut(order)
-    if cut.kind is CutKind.ORDERING:
-        return Sequence(
-            tuple(build_layout(induced_suborder(order, g)) for g in cut.groups)
-        )
-    if cut.kind is CutKind.PARALLEL:
-        return Parallel(
-            tuple(build_layout(induced_suborder(order, g)) for g in cut.groups)
-        )
-    return Fallback(tuple(sorted(v.label for v in order.vertices)))
+    done: list[LayoutTree] = []
+    # Entries are (None, run) to cut a run, or (node class, child count) to
+    # assemble a node from the last finished children.
+    stack: list = [(None, order.vertices)]
+    while stack:
+        node, item = stack.pop()
+        if node is not None:
+            children = tuple(done[-item:])
+            del done[-item:]
+            done.append(node(children))
+            continue
+        if len(item) == 1:
+            done.append(Leaf(item[0].label))
+            continue
+        node, blocks = Sequence, ordering_blocks(item)
+        if len(blocks) < 2:
+            node, blocks = Parallel, parallel_blocks(item)
+            if len(blocks) < 2:
+                done.append(Fallback(tuple(sorted(v.label for v in item))))
+                continue
+        stack.append((node, len(blocks)))
+        stack.extend((None, b) for b in reversed(blocks))
+    return done[0]
 
 
 def layout_trace(trace: Trace) -> LayoutTree:
@@ -77,28 +91,49 @@ def escape_label(label: str) -> str:
     return _STRUCTURAL.sub(lambda m: "\\" + m.group(), label)
 
 
+_CLOSE = object()
+
+
 def canonical_form(tree: LayoutTree) -> str:
     """Serialize a layout tree to its variant key.
 
     Two trees share a key iff they are equal up to reordering of Parallel
-    children and Fallback labels.
+    children and Fallback labels. Walks an explicit stack, so any depth works.
     """
-    if isinstance(tree, Leaf):
-        return escape_label(tree.label)
-    if isinstance(tree, Fallback):
-        return "u{" + ",".join(escape_label(l) for l in sorted(tree.labels)) + "}"
-    if isinstance(tree, Sequence):
-        return "s(" + ",".join(canonical_form(c) for c in tree.children) + ")"
-    if isinstance(tree, Parallel):
-        return "p(" + ",".join(sorted(canonical_form(c) for c in tree.children)) + ")"
-    raise TypeError(f"not a layout tree: {tree!r}")
+    done: list[str] = []
+    # A node is pushed to open it. Opening pushes the node again under the
+    # _CLOSE marker, which pops once the children's keys are on ``done``.
+    stack: list = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            done.append(escape_label(node.label))
+        elif isinstance(node, Fallback):
+            done.append("u{" + ",".join(escape_label(l) for l in sorted(node.labels)) + "}")
+        elif node is _CLOSE:
+            node = stack.pop()
+            parts = done[-len(node.children):]
+            del done[-len(node.children):]
+            if isinstance(node, Sequence):
+                done.append("s(" + ",".join(parts) + ")")
+            else:
+                done.append("p(" + ",".join(sorted(parts)) + ")")
+        elif isinstance(node, (Sequence, Parallel)):
+            stack += (node, _CLOSE)
+            stack.extend(reversed(node.children))
+        else:
+            raise TypeError(f"not a layout tree: {node!r}")
+    return done[0]
 
 
 def has_fallback(tree: LayoutTree) -> bool:
-    if isinstance(tree, Fallback):
-        return True
-    if isinstance(tree, (Sequence, Parallel)):
-        return any(has_fallback(c) for c in tree.children)
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Fallback):
+            return True
+        if isinstance(node, (Sequence, Parallel)):
+            stack.extend(node.children)
     return False
 
 

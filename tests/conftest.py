@@ -13,8 +13,10 @@ from pathlib import Path
 
 import pytest
 
+from variantview.cuts import CutKind, find_cut
 from variantview.ingest import ActivityInstance, Trace
-from variantview.order import IntervalOrder, build_interval_order
+from variantview.layout import Fallback, Leaf, Parallel, Sequence
+from variantview.order import IntervalOrder, build_interval_order, induced_suborder
 
 DATA = Path(__file__).parent / "data"
 
@@ -122,6 +124,22 @@ def random_trace(rng: random.Random, min_size=2, max_size=12, case="r") -> Trace
     return make_trace(rows, case=case)
 
 
+def nested_trace(levels: int, case="deep") -> Trace:
+    """``par(seq(..., Xk), Yk)`` nested ``levels`` deep around one leaf L0.
+
+    Level k adds Xk, which starts after everything so far, and Yk, which
+    spans from time 0 to Xk's start and so overlaps every other instance.
+    The trace has ``2 * levels + 1`` instances and a layout that deep.
+    """
+    rows = [("L0", 0, 1)]
+    end = 1
+    for k in range(levels):
+        rows.append((f"X{k}", end + 1, end + 2))
+        rows.append((f"Y{k}", 0, end + 1))
+        end += 2
+    return make_trace(rows, case=case)
+
+
 def brute_edges(instances) -> frozenset:
     """Pairwise double loop over the strict precedence definition."""
     return frozenset(
@@ -154,3 +172,16 @@ def bfs_components(order: IntervalOrder) -> set[frozenset]:
         seen |= component
         components.add(frozenset(component))
     return components
+
+
+def reference_layout(order: IntervalOrder):
+    """The layout by plain recursion: cut with ``find_cut``, rebuild every
+    block with ``induced_suborder``. Only for shallow trees (a few hundred
+    levels at most)."""
+    if len(order.vertices) == 1:
+        return Leaf(order.vertices[0].label)
+    cut = find_cut(order)
+    if cut.kind is CutKind.NONE:
+        return Fallback(tuple(sorted(v.label for v in order.vertices)))
+    node = Sequence if cut.kind is CutKind.ORDERING else Parallel
+    return node(tuple(reference_layout(induced_suborder(order, g)) for g in cut.groups))

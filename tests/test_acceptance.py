@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA, bfs_components, random_trace
+from conftest import DATA, bfs_components, random_trace, reference_layout
 from variantview.cli import main
 from variantview.cuts import (
     CutKind,
@@ -24,7 +24,7 @@ from variantview.cuts import (
     maximal_parallel_cut,
 )
 from variantview.ingest import ActivityInstance, Trace, group_by_case, parse_csv, parse_xes
-from variantview.layout import Fallback, layout_trace, variant_table
+from variantview.layout import Fallback, build_layout, layout_trace, variant_table
 from variantview.order import IntervalOrder, build_interval_order, induced_suborder, validate
 from variantview.render import render_text
 from variantview.stats import GeneratorSpec, classic_variants, generate_log, report
@@ -102,6 +102,12 @@ def test_criterion_4_maximal_cut_correctness(corpus):
         f"sweeps match oracles on {len(corpus)} traces in {elapsed:.1f} s "
         "(0 mismatches)",
     )
+
+
+def test_criterion_4b_layouts_equal_recursive_reference(corpus):
+    mismatches = sum(build_layout(order) != reference_layout(order) for order in corpus)
+    assert mismatches == 0
+    _pass(4, f"iterative layouts equal the recursive reference on {len(corpus)} traces")
 
 
 def test_criterion_5_axiom_suite(corpus):

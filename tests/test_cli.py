@@ -33,6 +33,18 @@ class TestVariantsCommand:
         assert "s(p(C,s(p(A,B),p(D,E))),p(A,F),G)" in keys
         assert "A" in keys
 
+    def test_json_layouts_compact_on_one_line(self, capsys):
+        code, out, _ = run(capsys, "variants", "--input", str(DATA / "worked_example.csv"))
+        assert code == 0
+        doc = json.loads(out)
+        assert out.startswith('{\n  "num_variants": 2,\n')
+        layout_lines = [l for l in out.splitlines() if l.startswith('      "layout": ')]
+        assert layout_lines == [
+            '      "layout": '
+            + json.dumps(v["layout"], ensure_ascii=False, separators=(",", ":"))
+            for v in doc["variants"]
+        ]
+
     def test_twin_cases_single_variant(self, capsys):
         code, out, _ = run(capsys, "variants", "--input", str(DATA / "same_structure_cases.csv"))
         assert code == 0

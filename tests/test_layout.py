@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
-from conftest import DATA, make_trace, random_trace
-from variantview.ingest import EventLog, Trace, parse_csv
+from conftest import DATA, make_trace, nested_trace, random_trace
+from variantview.cli import main
+from variantview.ingest import EventLog, Trace, parse_csv, write_csv
 from variantview.layout import (
     Fallback,
     Leaf,
@@ -225,3 +227,25 @@ def test_has_fallback_walks_nested_trees():
     tree = Sequence((Leaf("A"), Parallel((Leaf("B"), Fallback(("C", "D"))))))
     assert has_fallback(tree)
     assert not has_fallback(WORKED_TREE)
+
+
+def test_deeply_nested_trace_is_cut_keyed_and_counted(tmp_path, capsys):
+    # 1,201 instances nest 600 levels deep, past the recursion limit.
+    trace = nested_trace(600)
+    log = EventLog(trace.instances)
+    table = variant_table(log)
+    assert len(table.entries) == 1
+    ((key, entry),) = table.entries.items()
+    assert entry.count == 1 and not entry.has_fallback
+    expected = "L0"
+    for k in range(600):
+        expected = f"p(Y{k},s({expected},X{k}))"
+    assert key == expected
+
+    path = tmp_path / "deep.csv"
+    with path.open("w", encoding="utf-8") as dest:
+        write_csv(log, dest)
+    assert main(["stats", "--input", str(path), "--output-format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["num_cases"] == 1
+    assert doc["interval_variant_count"] == 1

@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import bfs_components, brute_edges, make_trace
+from conftest import bfs_components, brute_edges, make_trace, reference_layout
 from test_render import parse_render_text
 from variantview.cuts import (
     CutKind,
@@ -30,6 +30,7 @@ from variantview.layout import (
     Leaf,
     Parallel,
     Sequence,
+    build_layout,
     canonical_form,
     layout_trace,
     tree_labels,
@@ -114,6 +115,25 @@ def test_parallel_cut_equals_reachability(trace):
         position = {v.id: i for i, v in enumerate(order.vertices)}
         minima = [min(position[v] for v in g) for g in cut.groups]
         assert all(a < b for a, b in zip(minima, minima[1:]))
+        # 2+2-freeness: at most one component has more than one vertex, and
+        # each single-vertex component overlaps every other vertex.
+        assert sum(len(g) > 1 for g in cut.groups) <= 1
+        for g in cut.groups:
+            if len(g) == 1:
+                (v,) = (u for u in order.vertices if u.id in g)
+                for u in order.vertices:
+                    assert u is v or (
+                        v.start_ts <= u.complete_ts and u.start_ts <= v.complete_ts
+                    )
+
+
+@given(traces(max_size=14))
+@PROPERTY_SETTINGS
+def test_build_layout_equals_recursive_reference(trace):
+    # The grid makes ties, touching and atomic instances frequent, and the
+    # four labels repeat; equality includes the order of children.
+    order = build_interval_order(trace)
+    assert build_layout(order) == reference_layout(order)
 
 
 @given(traces())
