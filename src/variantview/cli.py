@@ -13,14 +13,14 @@ import re
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .ingest import ColumnMap, EventLog, ParseError, group_by_case, parse_csv, parse_xes
-from .layout import layout_to_json, variant_table
+from .layout import layout_json_text, variant_table
 from .order import build_interval_order, validate
 from .render import RenderConfig, render_svg, render_text
-from .stats import GeneratorSpec, generate_log, report, report_to_json, report_to_text
+from .stats import GeneratorSpec, PhaseTimings, generate_log, report, report_to_json, report_to_text
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -200,13 +200,9 @@ def cmd_variants(config: CliConfig, args, log: EventLog, parse_seconds: float) -
                 for i, (key, entry) in enumerate(items)
             ],
         }
-        # The document is indented but each layout is written compact on one
-        # line, so its size does not grow with layout depth. The layouts go in
-        # after the dump, in place of their index in ``items``.
-        layouts = [
-            json.dumps(layout_to_json(entry.layout), ensure_ascii=False, separators=(",", ":"))
-            for _, entry in items
-        ]
+        # The document is indented but each layout is compact on one line, so
+        # its size does not grow with depth. Layouts replace their index after the dump.
+        layouts = [layout_json_text(entry.layout) for _, entry in items]
         text = _LAYOUT_SLOT.sub(
             lambda m: m[1] + layouts[int(m[2])],
             json.dumps(payload, ensure_ascii=False, indent=2),
@@ -238,7 +234,7 @@ def cmd_render(config: CliConfig, args, log: EventLog, parse_seconds: float) -> 
     elif fmt == "text":
         text = render_text(entry.layout) + "\n"
     else:
-        text = json.dumps(layout_to_json(entry.layout), ensure_ascii=False, indent=2) + "\n"
+        text = layout_json_text(entry.layout) + "\n"
     _write_output(config, text)
     return EXIT_OK
 
@@ -271,15 +267,8 @@ def cmd_check(config: CliConfig, args, log: EventLog, parse_seconds: float) -> i
 
 
 def cmd_bench(config: CliConfig, args, log: EventLog, parse_seconds: float) -> int:
-    runs = []
-    for _ in range(args.repeat):
-        runs.append(report(log))
-    phases = {
-        "preprocessing": [r.timings.preprocessing for r in runs],
-        "building_orders": [r.timings.building_orders for r in runs],
-        "cutting": [r.timings.cutting for r in runs],
-        "total": [r.timings.total for r in runs],
-    }
+    runs = [report(log).timings for _ in range(args.repeat)]
+    phases = {f.name: [getattr(r, f.name) for r in runs] for f in fields(PhaseTimings)}
     fmt = _resolve_output_format(config, default="text", allowed={"json", "text"})
     if fmt == "json":
         payload = {

@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring as json_string
 
 from .cuts import ordering_blocks, parallel_blocks
 from .ingest import EventLog, Trace, group_by_case
@@ -94,30 +95,21 @@ def escape_label(label: str) -> str:
 _CLOSE = object()
 
 
-def canonical_form(tree: LayoutTree) -> str:
-    """Serialize a layout tree to its variant key.
-
-    Two trees share a key iff they are equal up to reordering of Parallel
-    children and Fallback labels. Walks an explicit stack, so any depth works.
-    """
-    done: list[str] = []
+def fold(tree: LayoutTree, combine):
+    """Post-order reduction on an explicit stack, so any depth works: the root's
+    ``combine(node, child_values)``; leaves and fallbacks get no child values."""
+    done: list = []
     # A node is pushed to open it. Opening pushes the node again under the
-    # _CLOSE marker, which pops once the children's keys are on ``done``.
+    # _CLOSE marker, which pops once the children's values are on ``done``.
     stack: list = [tree]
     while stack:
         node = stack.pop()
-        if isinstance(node, Leaf):
-            done.append(escape_label(node.label))
-        elif isinstance(node, Fallback):
-            done.append("u{" + ",".join(escape_label(l) for l in sorted(node.labels)) + "}")
+        if isinstance(node, (Leaf, Fallback)):
+            done.append(combine(node, ()))
         elif node is _CLOSE:
             node = stack.pop()
-            parts = done[-len(node.children):]
-            del done[-len(node.children):]
-            if isinstance(node, Sequence):
-                done.append("s(" + ",".join(parts) + ")")
-            else:
-                done.append("p(" + ",".join(sorted(parts)) + ")")
+            first = len(done) - len(node.children)
+            done[first:] = [combine(node, done[first:])]
         elif isinstance(node, (Sequence, Parallel)):
             stack += (node, _CLOSE)
             stack.extend(reversed(node.children))
@@ -126,51 +118,97 @@ def canonical_form(tree: LayoutTree) -> str:
     return done[0]
 
 
+def _key(node: LayoutTree, parts: list[str]) -> str:
+    if isinstance(node, Leaf):
+        return escape_label(node.label)
+    if isinstance(node, Fallback):
+        return "u{" + ",".join(escape_label(l) for l in sorted(node.labels)) + "}"
+    if isinstance(node, Sequence):
+        return "s(" + ",".join(parts) + ")"
+    return "p(" + ",".join(sorted(parts)) + ")"
+
+
+def canonical_form(tree: LayoutTree) -> str:
+    """Serialize a layout tree to its variant key. Two trees share a key iff
+    they are equal up to reordering of Parallel children and Fallback labels."""
+    return fold(tree, _key)
+
+
 def has_fallback(tree: LayoutTree) -> bool:
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Fallback):
-            return True
-        if isinstance(node, (Sequence, Parallel)):
-            stack.extend(node.children)
-    return False
+    return fold(tree, lambda node, kids: isinstance(node, Fallback) or any(kids))
+
+
+def _labels(node: LayoutTree, kids: list[list[str]]) -> list[str]:
+    if isinstance(node, Leaf):
+        return [node.label]
+    return list(node.labels) if isinstance(node, Fallback) else [l for k in kids for l in k]
 
 
 def tree_labels(tree: LayoutTree) -> list[str]:
     """The label multiset of a tree (order unspecified)."""
-    if isinstance(tree, Leaf):
-        return [tree.label]
-    if isinstance(tree, Fallback):
-        return list(tree.labels)
-    out: list[str] = []
-    for c in tree.children:
-        out.extend(tree_labels(c))
-    return out
+    return fold(tree, _labels)
+
+
+def _json_node(node: LayoutTree, kids: list[dict]) -> dict:
+    if isinstance(node, Leaf):
+        return {"kind": "leaf", "label": node.label}
+    if isinstance(node, Fallback):
+        return {"kind": "fallback", "labels": sorted(node.labels)}
+    return {"kind": "seq" if isinstance(node, Sequence) else "par", "children": kids}
 
 
 def layout_to_json(tree: LayoutTree) -> dict:
     """Tree as a JSON-ready dict: kind seq|par|leaf|fallback plus payload."""
-    if isinstance(tree, Leaf):
-        return {"kind": "leaf", "label": tree.label}
-    if isinstance(tree, Fallback):
-        return {"kind": "fallback", "labels": list(sorted(tree.labels))}
-    kind = "seq" if isinstance(tree, Sequence) else "par"
-    return {"kind": kind, "children": [layout_to_json(c) for c in tree.children]}
+    return fold(tree, _json_node)
+
+
+def _json_text(node: LayoutTree, kids: list[str]) -> str:
+    if isinstance(node, Leaf):
+        return '{"kind":"leaf","label":' + json_string(node.label) + "}"
+    if isinstance(node, Fallback):
+        labels = ",".join(map(json_string, sorted(node.labels)))
+        return '{"kind":"fallback","labels":[' + labels + "]}"
+    kind = "seq" if isinstance(node, Sequence) else "par"
+    return '{"kind":"' + kind + '","children":[' + ",".join(kids) + "]}"
+
+
+def layout_json_text(tree: LayoutTree) -> str:
+    """``layout_to_json(tree)`` as compact JSON text, equal to ``json.dumps``
+    with ``ensure_ascii=False, separators=(",", ":")`` but at any depth."""
+    return fold(tree, _json_text)
+
+
+_PAYLOAD = {"leaf": "label", "fallback": "labels", "seq": "children", "par": "children"}
 
 
 def layout_from_json(obj: dict) -> LayoutTree:
-    kind = obj.get("kind")
-    if kind == "leaf":
-        return Leaf(obj["label"])
-    if kind == "fallback":
-        return Fallback(tuple(sorted(obj["labels"])))
-    children = tuple(layout_from_json(c) for c in obj["children"])
-    if kind == "seq":
-        return Sequence(children)
-    if kind == "par":
-        return Parallel(children)
-    raise ValueError(f"unknown layout node kind: {kind!r}")
+    """Inverse of :func:`layout_to_json`. ValueError on a node that is not an
+    object, an unknown kind, or a missing, mistyped or empty payload."""
+    done: list[LayoutTree] = []
+    stack: list = [obj]
+    while stack:
+        node = stack.pop()
+        if node is _CLOSE:
+            node = stack.pop()
+            first = len(done) - len(node["children"])
+            done[first:] = [(Sequence if node["kind"] == "seq" else Parallel)(tuple(done[first:]))]
+            continue
+        if not isinstance(node, dict) or not isinstance(node.get("kind"), str):
+            raise ValueError("layout node is not an object with a string 'kind'")
+        kind = node["kind"]
+        value = node.get(_PAYLOAD.get(kind))
+        if kind == "leaf" and isinstance(value, str):
+            done.append(Leaf(value))
+        elif kind == "fallback" and isinstance(value, list) and {type(l) for l in value} == {str}:
+            done.append(Fallback(tuple(sorted(value))))
+        elif kind in ("seq", "par") and value and isinstance(value, list):
+            stack += (node, _CLOSE)
+            stack.extend(reversed(value))
+        elif kind not in _PAYLOAD:
+            raise ValueError(f"unknown layout node kind: {kind!r}")
+        else:
+            raise ValueError(f"{kind} layout node has no valid {_PAYLOAD[kind]!r}")
+    return done[0]
 
 
 @dataclass(slots=True)
@@ -208,10 +246,7 @@ class VariantTable:
         return sorted(self.entries.items(), key=lambda kv: (-kv[1].count, kv[0]))
 
     def find_case(self, case_id: str) -> tuple[str, VariantEntry] | None:
-        for key, entry in self.entries.items():
-            if case_id in entry.case_ids:
-                return key, entry
-        return None
+        return next(((k, e) for k, e in self.entries.items() if case_id in e.case_ids), None)
 
     @property
     def total_count(self) -> int:
@@ -238,13 +273,8 @@ def variants_of_traces(traces: list[Trace]) -> VariantTable:
     Empty traces are skipped. The table records the wall time of building
     the orders and of cutting and keying them.
     """
-    table = VariantTable()
-    usable = []
-    for trace in traces:
-        if trace.instances:
-            usable.append(trace)
-        else:
-            table.skipped.append(trace.case_id)
+    usable = [t for t in traces if t.instances]
+    table = VariantTable(skipped=[t.case_id for t in traces if not t.instances])
 
     t0 = time.perf_counter()
     orders = [build_interval_order(t) for t in usable]

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 from xml.sax.saxutils import escape as xml_escape
 
-from .layout import Fallback, LayoutTree, Leaf, Parallel, Sequence, escape_label
+from .layout import Fallback, LayoutTree, Leaf, Sequence, escape_label, fold
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,24 +54,26 @@ def _text_color(fill: str) -> str:
     return "#1a1a1a" if 0.299 * r + 0.587 * g + 0.114 * b > 150 else "#ffffff"
 
 
+def _text_node(node: LayoutTree, parts: list[str]) -> str:
+    if isinstance(node, Leaf):
+        return escape_label(node.label)
+    if isinstance(node, Fallback):
+        return "unordered{" + ",".join(escape_label(l) for l in sorted(node.labels)) + "}"
+    return ("seq(" if isinstance(node, Sequence) else "par(") + ",".join(parts) + ")"
+
+
 def render_text(tree: LayoutTree) -> str:
     """Compact one-line notation: seq(...), par(...), unordered{...}, labels."""
-    if isinstance(tree, Leaf):
-        return escape_label(tree.label)
-    if isinstance(tree, Fallback):
-        return "unordered{" + ",".join(escape_label(l) for l in sorted(tree.labels)) + "}"
-    inner = ",".join(render_text(c) for c in tree.children)
-    return ("seq(" if isinstance(tree, Sequence) else "par(") + inner + ")"
+    return fold(tree, _text_node)
 
 
 def render_svg(tree: LayoutTree, config: RenderConfig | None = None) -> str:
     """Render a layout tree as an SVG 1.1 document (byte-deterministic)."""
     cfg = config or RenderConfig()
     sizes: dict[int, tuple[float, float]] = {}
-    width, height = _measure(tree, cfg, sizes)
+    width, height = fold(tree, partial(_measure, cfg, sizes))
     margin = cfg.padding
-    parts: list[str] = []
-    _draw(tree, margin, margin, width, height, 0, cfg, sizes, parts)
+    parts = _draw((tree, margin, margin, width, height, 0), cfg, sizes)
     total_w, total_h = width + 2 * margin, height + 2 * margin
     head = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -85,94 +88,85 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _measure(
-    tree: LayoutTree, cfg: RenderConfig, sizes: dict[int, tuple[float, float]]
-) -> tuple[float, float]:
-    """Natural (width, height) of a tree; records every node's size in
+def _measure(cfg: RenderConfig, sizes: dict, node: LayoutTree, child_sizes: list) -> tuple:
+    """Natural (width, height) of a node from its children's; records it in
     ``sizes`` by node id, so drawing never measures a subtree twice."""
     leaf_w = _LEAF_WIDTH_UNITS * cfg.unit_height
-    if isinstance(tree, Leaf):
+    if isinstance(node, Leaf):
         size = (leaf_w, cfg.unit_height)
-    elif isinstance(tree, Fallback):
-        size = (leaf_w, cfg.unit_height * len(tree.labels))
+    elif isinstance(node, Fallback):
+        size = (leaf_w, cfg.unit_height * len(node.labels))
+    elif isinstance(node, Sequence):
+        size = (
+            sum(w for w, _ in child_sizes) + cfg.padding * (len(child_sizes) - 1),
+            max(h for _, h in child_sizes),
+        )
     else:
-        child_sizes = [_measure(c, cfg, sizes) for c in tree.children]
-        if isinstance(tree, Sequence):
-            size = (
-                sum(w for w, _ in child_sizes) + cfg.padding * (len(child_sizes) - 1),
-                max(h for _, h in child_sizes),
-            )
-        else:
-            inset_w = 2 * (cfg.chevron_indent + cfg.padding)
-            size = (
-                max(w for w, _ in child_sizes) + inset_w,
-                sum(h for _, h in child_sizes) + cfg.padding * (len(child_sizes) + 1),
-            )
-    sizes[id(tree)] = size
+        inset_w = 2 * (cfg.chevron_indent + cfg.padding)
+        size = (
+            max(w for w, _ in child_sizes) + inset_w,
+            sum(h for _, h in child_sizes) + cfg.padding * (len(child_sizes) + 1),
+        )
+    sizes[id(node)] = size
     return size
 
 
-def _draw(
-    tree: LayoutTree,
-    x: float,
-    y: float,
-    w: float,
-    h: float,
-    depth: int,
-    cfg: RenderConfig,
-    sizes: dict[int, tuple[float, float]],
-    out: list[str],
-) -> None:
-    if isinstance(tree, Leaf):
-        fill = label_color(tree.label, cfg.palette_seed)
-        out.append('<g class="leaf">')
-        out.append(_chevron(x, y, w, h, cfg.chevron_indent, fill))
-        out.append(_text(x + w / 2, y + h / 2, tree.label, cfg, _text_color(fill)))
-        out.append("</g>\n")
-        return
-    if isinstance(tree, Fallback):
-        fill = _CONTAINER_FILLS[depth % len(_CONTAINER_FILLS)]
-        out.append('<g class="fallback">')
-        out.append(_chevron(x, y, w, h, cfg.chevron_indent, fill))
-        line_h = h / len(tree.labels)
-        for i, label in enumerate(sorted(tree.labels)):
-            out.append(_text(x + w / 2, y + line_h * (i + 0.5), label, cfg, "#1a1a1a"))
-        out.append("</g>\n")
-        return
-    if isinstance(tree, Sequence):
-        out.append('<g class="seq">\n')
-        child_sizes = [sizes[id(c)] for c in tree.children]
-        natural = sum(cw for cw, _ in child_sizes) + cfg.padding * (len(child_sizes) - 1)
-        extra = max(0.0, w - natural)
-        pool = sum(cw for cw, _ in child_sizes)
-        cursor = x
-        for i, (child, (cw, _)) in enumerate(zip(tree.children, child_sizes)):
-            give = extra * cw / pool
-            cw_final = cw + give
-            if i == len(child_sizes) - 1:
-                cw_final = x + w - cursor  # close rounding drift exactly
-            _draw(child, cursor, y, cw_final, h, depth, cfg, sizes, out)
-            cursor += cw_final + cfg.padding
-        out.append("</g>\n")
-        return
-    if isinstance(tree, Parallel):
-        fill = _CONTAINER_FILLS[depth % len(_CONTAINER_FILLS)]
-        out.append('<g class="par">\n')
-        out.append(_chevron(x, y, w, h, cfg.chevron_indent, fill))
-        child_sizes = [sizes[id(c)] for c in tree.children]
-        inner_x = x + cfg.chevron_indent + cfg.padding
-        inner_w = w - 2 * (cfg.chevron_indent + cfg.padding)
-        natural = sum(ch for _, ch in child_sizes) + cfg.padding * (len(child_sizes) + 1)
-        extra = max(0.0, h - natural)
-        pool = sum(ch for _, ch in child_sizes)
-        cursor = y + cfg.padding
-        for child, (_, ch) in zip(tree.children, child_sizes):
-            ch_final = ch + extra * ch / pool
-            _draw(child, inner_x, cursor, inner_w, ch_final, depth + 1, cfg, sizes, out)
-            cursor += ch_final + cfg.padding
-        out.append("</g>\n")
-        return
-    raise TypeError(f"not a layout tree: {tree!r}")
+def _draw(root: tuple, cfg: RenderConfig, sizes: dict) -> list[str]:
+    """SVG elements of a placed node ``(node, x, y, w, h, depth)``, top-down
+    (a box comes from the parent's) on a stack of placed nodes and end tags."""
+    out: list[str] = []
+    stack: list = [root]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, x, y, w, h, depth = item
+        if isinstance(node, Leaf):
+            fill = label_color(node.label, cfg.palette_seed)
+            out.append('<g class="leaf">')
+            out.append(_chevron(x, y, w, h, cfg.chevron_indent, fill))
+            out.append(_text(x + w / 2, y + h / 2, node.label, cfg, _text_color(fill)))
+            out.append("</g>\n")
+            continue
+        if isinstance(node, Fallback):
+            fill = _CONTAINER_FILLS[depth % len(_CONTAINER_FILLS)]
+            out.append('<g class="fallback">')
+            out.append(_chevron(x, y, w, h, cfg.chevron_indent, fill))
+            line_h = h / len(node.labels)
+            for i, label in enumerate(sorted(node.labels)):
+                out.append(_text(x + w / 2, y + line_h * (i + 0.5), label, cfg, "#1a1a1a"))
+            out.append("</g>\n")
+            continue
+        child_sizes = [sizes[id(c)] for c in node.children]
+        placed = []
+        if isinstance(node, Sequence):
+            out.append('<g class="seq">\n')
+            pool = sum(cw for cw, _ in child_sizes)
+            extra = max(0.0, w - (pool + cfg.padding * (len(child_sizes) - 1)))
+            cursor = x
+            for i, (child, (cw, _)) in enumerate(zip(node.children, child_sizes)):
+                cw_final = cw + extra * cw / pool
+                if i == len(child_sizes) - 1:
+                    cw_final = x + w - cursor  # close rounding drift exactly
+                placed.append((child, cursor, y, cw_final, h, depth))
+                cursor += cw_final + cfg.padding
+        else:
+            fill = _CONTAINER_FILLS[depth % len(_CONTAINER_FILLS)]
+            out.append('<g class="par">\n')
+            out.append(_chevron(x, y, w, h, cfg.chevron_indent, fill))
+            inner_x = x + cfg.chevron_indent + cfg.padding
+            inner_w = w - 2 * (cfg.chevron_indent + cfg.padding)
+            pool = sum(ch for _, ch in child_sizes)
+            extra = max(0.0, h - (pool + cfg.padding * (len(child_sizes) + 1)))
+            cursor = y + cfg.padding
+            for child, (_, ch) in zip(node.children, child_sizes):
+                ch_final = ch + extra * ch / pool
+                placed.append((child, inner_x, cursor, inner_w, ch_final, depth + 1))
+                cursor += ch_final + cfg.padding
+        stack.append("</g>\n")
+        stack.extend(reversed(placed))
+    return out
 
 
 def _chevron(x: float, y: float, w: float, h: float, indent: float, fill: str) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 import string
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .ingest import ActivityInstance, EventLog, SourceMeta, Trace, group_by_case
@@ -96,20 +96,7 @@ def report(
 
 
 def report_to_json(rep: LogReport) -> dict:
-    return {
-        "num_cases": rep.num_cases,
-        "avg_events_per_case": rep.avg_events_per_case,
-        "classic_variant_count": rep.classic_variant_count,
-        "interval_variant_count": rep.interval_variant_count,
-        "fallback_variant_count": rep.fallback_variant_count,
-        "fallback_variant_pct": rep.fallback_variant_pct,
-        "timings": {
-            "preprocessing": rep.timings.preprocessing,
-            "building_orders": rep.timings.building_orders,
-            "cutting": rep.timings.cutting,
-            "total": rep.timings.total,
-        },
-    }
+    return asdict(rep)
 
 
 _REPORT_ROWS = (

@@ -168,6 +168,20 @@ class TestRenderCommand:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    def test_json_equals_the_variants_layout_line(self, capsys):
+        source = ("--input", str(DATA / "worked_example.csv"))
+        code, out, _ = run(capsys, "variants", *source)
+        assert code == 0
+        keys = [v["key"] for v in json.loads(out)["variants"]]
+        layout_lines = [l for l in out.splitlines() if l.startswith('      "layout": ')]
+        assert len(keys) == len(layout_lines) == 2
+        for key, line in zip(keys, layout_lines):
+            code, rendered, _ = run(
+                capsys, "render", *source, "--key", key, "--output-format", "json"
+            )
+            assert code == 0
+            assert rendered == line.removeprefix('      "layout": ') + "\n"
+
     def test_svg_extension_selects_format(self, capsys, tmp_path):
         target = tmp_path / "variant.svg"
         code, _, _ = run(

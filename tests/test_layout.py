@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import random
+from pathlib import Path
 
 import pytest
+
+import variantview
 
 from conftest import DATA, make_trace, nested_trace, random_trace
 from variantview.cli import main
@@ -20,6 +24,7 @@ from variantview.layout import (
     escape_label,
     has_fallback,
     layout_from_json,
+    layout_json_text,
     layout_to_json,
     layout_trace,
     tree_labels,
@@ -249,3 +254,103 @@ def test_deeply_nested_trace_is_cut_keyed_and_counted(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["num_cases"] == 1
     assert doc["interval_variant_count"] == 1
+
+
+def test_deeply_nested_trace_is_written_rendered_and_round_tripped(tmp_path, capsys):
+    # The 600-level layout of test_deeply_nested_trace_is_cut_keyed_and_counted
+    # through every writer. json.loads is not used on it: the C scanner
+    # recurses too.
+    trace = nested_trace(600)
+    log = EventLog(trace.instances)
+    tree = layout_trace(trace)
+    key, text, doc = "L0", "L0", '{"kind":"leaf","label":"L0"}'
+    for k in range(600):
+        key = f"p(Y{k},s({key},X{k}))"
+        text = f"par(seq({text},X{k}),Y{k})"
+        doc = (
+            '{"kind":"par","children":[{"kind":"seq","children":['
+            f'{doc},{{"kind":"leaf","label":"X{k}"}}]}},{{"kind":"leaf","label":"Y{k}"}}]}}'
+        )
+    assert layout_json_text(tree) == doc
+    assert canonical_form(layout_from_json(layout_to_json(tree))) == key
+
+    path = tmp_path / "deep.csv"
+    with path.open("w", encoding="utf-8") as dest:
+        write_csv(log, dest)
+    source = ["--input", str(path)]
+    assert main(["variants", *source, "--output-format", "text"]) == 0
+    assert capsys.readouterr().out == f"1\t{text}\n"
+    assert main(["variants", *source, "--output-format", "json"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f'      "key": "{key}",' in lines
+    assert [l for l in lines if l.startswith('      "layout": ')] == ['      "layout": ' + doc]
+
+    render = ["render", *source, "--case", "deep", "--output-format"]
+    assert main([*render, "text"]) == 0
+    assert capsys.readouterr().out == text + "\n"
+    assert main([*render, "json"]) == 0
+    assert capsys.readouterr().out == doc + "\n"
+    assert main([*render, "svg"]) == 0
+    svg = capsys.readouterr().out
+    assert svg.startswith("<?xml") and svg.endswith("</svg>\n")
+    assert svg.count('<g class="leaf">') == 1201
+    assert svg.count('<g class="par">') == 600 and svg.count('<g class="seq">') == 600
+
+
+def test_no_function_in_the_package_calls_itself():
+    # Layout depth grows with the trace, so every walk uses an explicit stack.
+    calls = []
+    for path in sorted(Path(variantview.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                by_name = isinstance(f, ast.Name) and f.id == fn.name
+                by_self = (
+                    isinstance(f, ast.Attribute)
+                    and f.attr == fn.name
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id in ("self", "cls")
+                )
+                if by_name or by_self:
+                    calls.append(f"{path.name}:{node.lineno} {fn.name}")
+    assert calls == []
+
+
+# A leaf without its label under 3,000 sequences.
+DEEP_BAD_DOCUMENT = {"kind": "leaf"}
+for _ in range(3000):
+    DEEP_BAD_DOCUMENT = {"kind": "seq", "children": [DEEP_BAD_DOCUMENT]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [],
+        "leaf",
+        None,
+        {},
+        {"kind": None},
+        {"kind": ["seq"], "children": [{"kind": "leaf", "label": "A"}]},
+        {"kind": "tree", "children": [{"kind": "leaf", "label": "A"}]},
+        {"kind": "leaf"},
+        {"kind": "leaf", "label": 3},
+        {"kind": "fallback"},
+        {"kind": "fallback", "labels": "AB"},
+        {"kind": "fallback", "labels": ["A", 1]},
+        {"kind": "fallback", "labels": []},
+        {"kind": "seq"},
+        {"kind": "par", "children": []},
+        {"kind": "seq", "children": {"kind": "leaf", "label": "A"}},
+        {"kind": "seq", "children": [{"kind": "leaf", "label": "A"}, "B"]},
+        {"kind": "par", "children": [{"kind": "leaf", "label": "A"}, {"label": "B"}]},
+        DEEP_BAD_DOCUMENT,
+    ],
+    ids=lambda doc: "deep" if doc is DEEP_BAD_DOCUMENT else None,
+)
+def test_layout_from_json_rejects_malformed_documents(doc):
+    with pytest.raises(ValueError):
+        layout_from_json(doc)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 import xml.etree.ElementTree as ET
 
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,9 @@ from variantview.layout import (
     Sequence,
     build_layout,
     canonical_form,
+    layout_from_json,
+    layout_json_text,
+    layout_to_json,
     layout_trace,
     tree_labels,
     variant_table,
@@ -43,6 +47,12 @@ PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
 _PLAIN = st.sampled_from(["a", "b", "c", "d"])
 _WEIRD = st.text(alphabet="ab,(){}\\ u", min_size=1, max_size=6)
+# Characters JSON escapes or passes through with ensure_ascii=False.
+_JSONY = st.text(
+    alphabet=st.one_of(st.sampled_from('ab"\\/\x00\x1f\x7f\n\t\u2028é€😀'), st.characters()),
+    min_size=1,
+    max_size=6,
+)
 
 
 @st.composite
@@ -312,3 +322,12 @@ def test_variant_table_is_deterministic_and_complete(trace_list):
     for key, entry in one.entries.items():
         assert entry.count == two.entries[key].count
         assert canonical_form(entry.layout) == key
+
+
+@given(traces(labels=_JSONY))
+@PROPERTY_SETTINGS
+def test_layout_json_text_equals_json_dumps_and_round_trips(trace):
+    tree = layout_trace(trace)
+    doc = layout_to_json(tree)
+    assert layout_json_text(tree) == json.dumps(doc, ensure_ascii=False, separators=(",", ":"))
+    assert layout_from_json(doc) == tree
