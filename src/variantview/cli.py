@@ -267,8 +267,15 @@ def cmd_check(config: CliConfig, args, log: EventLog, parse_seconds: float) -> i
 
 
 def cmd_bench(config: CliConfig, args, log: EventLog, parse_seconds: float) -> int:
-    runs = [report(log).timings for _ in range(args.repeat)]
-    phases = {f.name: [getattr(r, f.name) for r in runs] for f in fields(PhaseTimings)}
+    parsing, runs = [], []
+    for _ in range(args.repeat):
+        if config.input is not None:  # re-read the file, so parsing is timed too
+            log, parse_seconds = _load_log(config)
+        parsing.append(parse_seconds)
+        runs.append(report(log).timings)
+    phases = {"parsing": parsing} | {
+        f.name: [getattr(r, f.name) for r in runs] for f in fields(PhaseTimings)
+    }
     fmt = _resolve_output_format(config, default="text", allowed={"json", "text"})
     if fmt == "json":
         payload = {

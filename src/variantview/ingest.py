@@ -15,13 +15,14 @@ import csv
 import gzip
 import io
 import re
-import xml.etree.ElementTree as ET
+import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import groupby
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
+from xml.parsers import expat
 
 MICROS_PER_SECOND = 1_000_000
 
@@ -36,7 +37,7 @@ _COMPACT_OFFSET_RE = re.compile(r"([+-]\d{2})(\d{2})$")
 
 
 class ParseError(ValueError):
-    """Input that cannot be parsed at all (bad XML, missing CSV columns)."""
+    """Unparseable input: bad XML or CSV, missing columns, broken gzip, bad UTF-8."""
 
 
 def parse_timestamp(text: str) -> int:
@@ -61,10 +62,16 @@ def parse_timestamp(text: str) -> int:
     return (dt - _EPOCH) // _MICROSECOND
 
 
-def _parse_iso(raw: str) -> datetime | None:
+def _parse_iso(s: str) -> datetime | None:
+    # Python 3.11+ reads RFC 3339 as it is. Only with a 'T' or ' ' separator:
+    # 3.11 also takes '.' there, which the fraction rewrite below misreads.
+    if s[10:11] in ("T", " "):
+        try:
+            return datetime.fromisoformat(s)
+        except ValueError:
+            pass
     # Normalize the RFC 3339 variants datetime.fromisoformat (3.10) rejects:
     # trailing 'Z', fractional seconds that are not 3/6 digits, '+0200' offsets.
-    s = raw
     if s.endswith(("Z", "z")):
         s = s[:-1] + "+00:00"
     s = _COMPACT_OFFSET_RE.sub(r"\1:\2", s)
@@ -229,30 +236,32 @@ def parse_csv(
 ) -> EventLog:
     """Parse a row-per-instance CSV file into an event log.
 
-    Expects a header row; ``mapping`` names the four required columns. Rows
-    with unparseable timestamps are rejected with a warning, rows whose start
-    lies after their complete with an error entry. Instance ids are assigned
-    by row order.
+    Expects a header row; ``mapping`` names the four required columns (where
+    a name repeats, the last such column counts). Blank rows are skipped.
+    Rows too short to hold a required column, or with unparseable
+    timestamps, are rejected with a warning, rows whose start lies after
+    their complete with an error entry. Instance ids are the row numbers.
     """
     mapping = mapping or ColumnMap()
-    file_name, stream, close = _open_text(source)
+    file_name, stream, close = None, None, False
     warnings: list[str] = []
     errors: list[str] = []
     instances: list[ActivityInstance] = []
     try:
-        reader = csv.DictReader(stream)
-        header = reader.fieldnames or []
+        file_name, stream, close = _open_text(source)
+        rows = csv.reader(stream)
+        header = next(rows, [])
         missing = [c for c in mapping.fields() if c not in header]
         if missing:
-            raise ParseError(
-                f"missing required column(s) {missing} in header {header}"
-            )
-        for row_no, row in enumerate(reader, start=1):
-            cells = [row.get(c) for c in mapping.fields()]
-            if any(cell is None for cell in cells):
+            raise ParseError(f"missing required column(s) {missing} in header {header}")
+        index = {name: i for i, name in enumerate(header)}
+        case_i, label_i, start_i, complete_i = (index[c] for c in mapping.fields())
+        width = max(case_i, label_i, start_i, complete_i) + 1
+        for row_no, row in enumerate(filter(None, rows), start=1):  # blank rows skipped
+            if len(row) < width:
                 warnings.append(f"row {row_no} rejected: short row")
                 continue
-            case_raw, label, start_raw, complete_raw = cells
+            start_raw, complete_raw = row[start_i], row[complete_i]
             try:
                 start = parse_timestamp(start_raw)
                 complete = parse_timestamp(complete_raw)
@@ -264,9 +273,13 @@ def parse_csv(
                     f"row {row_no} rejected: start {start_raw!r} after complete {complete_raw!r}"
                 )
                 continue
-            instances.append(
-                ActivityInstance(row_no, str(case_raw), label, start, complete)
-            )
+            instances.append(ActivityInstance(row_no, row[case_i], row[label_i], start, complete))
+    except _UNREADABLE as exc:
+        raise _unreadable(file_name, source, exc) from exc
+    except csv.Error as exc:  # e.g. a quote left open runs past the field size limit
+        raise ParseError(
+            f"{file_name or 'input'}: malformed CSV at line {rows.line_num}: {exc}"
+        ) from exc
     finally:
         if close:
             stream.close()
@@ -284,9 +297,6 @@ def write_csv(log: EventLog, dest: IO[str]) -> None:
         )
 
 
-_PAIRABLE = ("start", "complete")
-
-
 def parse_xes(source: str | Path | IO[bytes]) -> EventLog:
     """Parse an XES file (optionally gzip-compressed) into an event log.
 
@@ -295,67 +305,43 @@ def parse_xes(source: str | Path | IO[bytes]) -> EventLog:
     case id (``case_<n>`` when absent). Events whose lifecycle is ``start`` or
     ``complete`` are paired via :func:`pair_events`; any other or missing
     lifecycle yields an atomic instance. Events without ``concept:name`` or
-    ``time:timestamp`` are skipped with a warning.
+    ``time:timestamp`` are skipped with a warning. One pass reads the file,
+    and memory holds one open trace at a time.
     """
     file_name, stream, close = _open_binary(source)
     warnings: list[str] = []
     instances: list[ActivityInstance] = []
-    next_id = 0
+    # Per open element: for a trace a list of its concept:name and then one
+    # attribute dict per event, for an event of a trace that dict, else None.
+    stack: list[list | dict | None] = [None]
     trace_no = 0
-    try:
-        context = ET.iterparse(stream, events=("start", "end"))
-        root = None
-        for event, elem in context:
-            tag = elem.tag.rpartition("}")[2]
-            if event == "start":
-                if root is None:
-                    root = elem
-                continue
-            if tag != "trace":
-                continue
-            trace_no += 1
-            case_id, paired, atomic = _read_trace(elem, trace_no, warnings)
-            batch = pair_events(
-                paired, case_id=case_id, id_start=next_id, warnings=warnings
-            )
-            next_id += len(batch)
-            for label, ts in atomic:
-                batch.append(ActivityInstance(next_id, case_id, label, ts, ts))
-                next_id += 1
-            instances.extend(batch)
-            elem.clear()
-            if root is not None:
-                # Drop processed trace elements so large logs stream in
-                # bounded memory.
-                for child in list(root):
-                    if child is not elem:
-                        root.remove(child)
-    except ET.ParseError as exc:
-        line, column = exc.position
-        raise ParseError(
-            f"malformed XES XML at line {line}, column {column}: {exc.msg}"
-        ) from exc
-    finally:
-        if close:
-            stream.close()
-    meta = SourceMeta(file_name, "xes", tuple(warnings), ())
-    return EventLog(tuple(instances), meta)
 
+    def start(name: str, attrs: dict[str, str]) -> None:
+        parent = stack[-1]
+        tag = name.rpartition("}")[2]
+        node = None
+        if tag == "trace":
+            node = [None]
+        elif type(parent) is dict:
+            parent[attrs.get("key")] = attrs.get("value", "")
+        elif type(parent) is list:
+            if tag == "event":
+                node = {}
+                parent.append(node)
+            elif tag == "string" and attrs.get("key") == "concept:name":
+                parent[0] = attrs.get("value")
+        stack.append(node)
 
-def _read_trace(
-    elem: ET.Element, trace_no: int, warnings: list[str]
-) -> tuple[str, list[tuple[str, str, int]], list[tuple[str, int]]]:
-    case_id = None
-    paired: list[tuple[str, str, int, int]] = []
-    atomic: list[tuple[str, int]] = []
-    event_no = 0
-    for child in elem:
-        tag = child.tag.rpartition("}")[2]
-        if tag == "event":
-            event_no += 1
-            attrs = {
-                sub.attrib.get("key"): sub.attrib.get("value", "") for sub in child
-            }
+    def end(name: str) -> None:
+        nonlocal trace_no
+        trace = stack.pop()
+        if type(trace) is not list:
+            return
+        trace_no += 1
+        case_id = trace[0] if trace[0] is not None else f"case_{trace_no}"
+        paired: list[tuple[str, str, int, int]] = []
+        atomic: list[tuple[str, int]] = []
+        for event_no, attrs in enumerate(trace[1:], start=1):
             label = attrs.get("concept:name")
             ts_raw = attrs.get("time:timestamp")
             if label is None or ts_raw is None:
@@ -370,17 +356,61 @@ def _read_trace(
                 warnings.append(f"trace {trace_no}: event {event_no} skipped ({exc})")
                 continue
             lifecycle = attrs.get("lifecycle:transition", "").strip().lower()
-            if lifecycle in _PAIRABLE:
+            if lifecycle in ("start", "complete"):
                 paired.append((label, lifecycle, ts, event_no))
             else:
                 atomic.append((label, ts))
-        elif tag == "string" and child.attrib.get("key") == "concept:name":
-            case_id = child.attrib.get("value")
-    if case_id is None:
-        case_id = f"case_{trace_no}"
-    # Stable sort by timestamp, keeping document order on ties.
-    paired.sort(key=lambda e: (e[2], e[3]))
-    return case_id, [(label, kind, ts) for label, kind, ts, _ in paired], atomic
+        # Stable sort by timestamp, keeping document order on ties.
+        paired.sort(key=lambda e: (e[2], e[3]))
+        events = [(label, kind, ts) for label, kind, ts, _ in paired]
+        instances.extend(
+            pair_events(events, case_id=case_id, id_start=len(instances), warnings=warnings)
+        )
+        for label, ts in atomic:
+            instances.append(ActivityInstance(len(instances), case_id, label, ts, ts))
+
+    def skipped_entity(name: str, is_parameter_entity: bool) -> None:
+        # Expat skips an undeclared entity if the document has an external DTD.
+        if not is_parameter_entity:
+            error = expat.ExpatError(f"undefined entity &{name};")
+            error.lineno, error.offset = parser.ErrorLineNumber, parser.ErrorColumnNumber
+            raise error
+
+    parser = expat.ParserCreate(namespace_separator="}")
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.SkippedEntityHandler = skipped_entity
+    try:
+        parser.ParseFile(stream)
+    except expat.ExpatError as exc:
+        reason = expat.ErrorString(exc.code) if hasattr(exc, "code") else exc
+        raise ParseError(
+            f"malformed XES XML at line {exc.lineno}, column {exc.offset}: {reason}"
+        ) from exc
+    except _UNREADABLE as exc:
+        raise _unreadable(file_name, source, exc) from exc
+    finally:
+        if close:
+            stream.close()
+    meta = SourceMeta(file_name, "xes", tuple(warnings), ())
+    return EventLog(tuple(instances), meta)
+
+
+# What reading a file can raise midway: bad gzip data, bad UTF-8.
+_UNREADABLE = (EOFError, zlib.error, gzip.BadGzipFile, UnicodeDecodeError)
+
+
+def _unreadable(file_name: str | None, source, exc: Exception) -> ParseError:
+    name = file_name or "input"
+    if not isinstance(exc, UnicodeDecodeError):
+        return ParseError(f"{name}: truncated or corrupt gzip data ({exc})")
+    where = ""
+    if isinstance(source, (str, Path)):  # the text stream decodes in chunks
+        try:
+            Path(source).read_bytes().decode("utf-8")
+        except UnicodeDecodeError as whole:
+            where = f" at byte {whole.start}"
+    return ParseError(f"{name}: not UTF-8 text{where} ({exc.reason})")
 
 
 def _open_text(source) -> tuple[str | None, IO[str], bool]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import partial
-from xml.sax.saxutils import escape as xml_escape
 
 from .layout import Fallback, LayoutTree, Leaf, Sequence, escape_label, fold
 
@@ -190,8 +189,9 @@ def _chevron(x: float, y: float, w: float, h: float, indent: float, fill: str) -
 
 def _text(cx: float, cy: float, label: str, cfg: RenderConfig, color: str) -> str:
     size = 0.45 * cfg.unit_height
+    label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return (
         f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" '
         f'dominant-baseline="central" font-family="sans-serif" '
-        f'font-size="{_fmt(size)}" fill="{color}">{xml_escape(label)}</text>\n'
+        f'font-size="{_fmt(size)}" fill="{color}">{label}</text>\n'
     )

@@ -7,14 +7,28 @@ against and must not share logic with them.
 
 from __future__ import annotations
 
+import csv
 import random
+import re
+import xml.etree.ElementTree as ET
 from collections import deque
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
 
 from variantview.cuts import CutKind, find_cut
-from variantview.ingest import ActivityInstance, Trace
+from variantview.ingest import (
+    ActivityInstance,
+    ColumnMap,
+    EventLog,
+    ParseError,
+    SourceMeta,
+    Trace,
+    _open_binary,
+    _open_text,
+    pair_events,
+)
 from variantview.layout import Fallback, Leaf, Parallel, Sequence
 from variantview.order import IntervalOrder, build_interval_order, induced_suborder
 
@@ -185,3 +199,163 @@ def reference_layout(order: IntervalOrder):
         return Fallback(tuple(sorted(v.label for v in order.vertices)))
     node = Sequence if cut.kind is CutKind.ORDERING else Parallel
     return node(tuple(reference_layout(induced_suborder(order, g)) for g in cut.groups))
+
+
+# Reference parsers: the element-tree and DictReader readers the streaming
+# ones in ``variantview.ingest`` replaced. They share only ``pair_events``,
+# the data classes and the file openers with the package.
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_SLASH_FORMATS = ("%m/%d/%Y %H:%M:%S", "%m/%d/%Y %H:%M")
+_FRACTION_RE = re.compile(r"\.(\d+)")
+_COMPACT_OFFSET_RE = re.compile(r"([+-]\d{2})(\d{2})$")
+
+
+def reference_parse_timestamp(text: str) -> int:
+    """Normalize the RFC 3339 variants Python 3.10's ``fromisoformat``
+    rejects (trailing 'Z', fractions that are not 3/6 digits, '+0200'
+    offsets), then try the slash formats."""
+    raw = text.strip()
+    s = raw
+    if s.endswith(("Z", "z")):
+        s = s[:-1] + "+00:00"
+    s = _COMPACT_OFFSET_RE.sub(r"\1:\2", s)
+    s = _FRACTION_RE.sub(lambda m: "." + m.group(1)[:6].ljust(6, "0"), s, count=1)
+    try:
+        dt = datetime.fromisoformat(s)
+    except ValueError:
+        dt = None
+    if dt is None:
+        for fmt in _SLASH_FORMATS:
+            try:
+                dt = datetime.strptime(raw, fmt)
+                break
+            except ValueError:
+                continue
+    if dt is None:
+        raise ValueError(f"unsupported timestamp format: {text!r}")
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return (dt - _EPOCH) // timedelta(microseconds=1)
+
+
+def reference_parse_csv(source, mapping: ColumnMap | None = None) -> EventLog:
+    """``parse_csv`` on ``csv.DictReader``."""
+    mapping = mapping or ColumnMap()
+    file_name, stream, close = _open_text(source)
+    warnings, errors, instances = [], [], []
+    try:
+        reader = csv.DictReader(stream)
+        header = reader.fieldnames or []
+        missing = [c for c in mapping.fields() if c not in header]
+        if missing:
+            raise ParseError(f"missing required column(s) {missing} in header {header}")
+        for row_no, row in enumerate(reader, start=1):
+            cells = [row.get(c) for c in mapping.fields()]
+            if any(cell is None for cell in cells):
+                warnings.append(f"row {row_no} rejected: short row")
+                continue
+            case_raw, label, start_raw, complete_raw = cells
+            try:
+                start = reference_parse_timestamp(start_raw)
+                complete = reference_parse_timestamp(complete_raw)
+            except ValueError as exc:
+                warnings.append(f"row {row_no} rejected: {exc}")
+                continue
+            if start > complete:
+                errors.append(
+                    f"row {row_no} rejected: start {start_raw!r} after complete {complete_raw!r}"
+                )
+                continue
+            instances.append(ActivityInstance(row_no, str(case_raw), label, start, complete))
+    finally:
+        if close:
+            stream.close()
+    return EventLog(tuple(instances), SourceMeta(file_name, "csv", tuple(warnings), tuple(errors)))
+
+
+def reference_parse_xes(source) -> EventLog:
+    """``parse_xes`` on ``ElementTree.iterparse``: each ``trace`` element is
+    read when it ends, then cleared. Its ParseError message carries
+    ElementTree's own position suffix after expat's reason."""
+    file_name, stream, close = _open_binary(source)
+    warnings, instances = [], []
+    next_id = 0
+    trace_no = 0
+    try:
+        root = None
+        for event, elem in ET.iterparse(stream, events=("start", "end")):
+            if event == "start":
+                if root is None:
+                    root = elem
+                continue
+            if elem.tag.rpartition("}")[2] != "trace":
+                continue
+            trace_no += 1
+            case_id, paired, atomic = _reference_read_trace(elem, trace_no, warnings)
+            batch = pair_events(paired, case_id=case_id, id_start=next_id, warnings=warnings)
+            next_id += len(batch)
+            for label, ts in atomic:
+                batch.append(ActivityInstance(next_id, case_id, label, ts, ts))
+                next_id += 1
+            instances.extend(batch)
+            elem.clear()
+            for child in list(root):
+                if child is not elem:
+                    root.remove(child)
+    except ET.ParseError as exc:
+        line, column = exc.position
+        raise ParseError(f"malformed XES XML at line {line}, column {column}: {exc.msg}") from exc
+    finally:
+        if close:
+            stream.close()
+    return EventLog(tuple(instances), SourceMeta(file_name, "xes", tuple(warnings), ()))
+
+
+def _reference_read_trace(elem, trace_no, warnings):
+    case_id = None
+    paired, atomic = [], []
+    event_no = 0
+    for child in elem:
+        tag = child.tag.rpartition("}")[2]
+        if tag == "event":
+            event_no += 1
+            attrs = {sub.attrib.get("key"): sub.attrib.get("value", "") for sub in child}
+            label = attrs.get("concept:name")
+            ts_raw = attrs.get("time:timestamp")
+            if label is None or ts_raw is None:
+                warnings.append(
+                    f"trace {trace_no}: event {event_no} skipped "
+                    "(missing concept:name or time:timestamp)"
+                )
+                continue
+            try:
+                ts = reference_parse_timestamp(ts_raw)
+            except ValueError as exc:
+                warnings.append(f"trace {trace_no}: event {event_no} skipped ({exc})")
+                continue
+            lifecycle = attrs.get("lifecycle:transition", "").strip().lower()
+            if lifecycle in ("start", "complete"):
+                paired.append((label, lifecycle, ts, event_no))
+            else:
+                atomic.append((label, ts))
+        elif tag == "string" and child.attrib.get("key") == "concept:name":
+            case_id = child.attrib.get("value")
+    if case_id is None:
+        case_id = f"case_{trace_no}"
+    paired.sort(key=lambda e: (e[2], e[3]))
+    return case_id, [(label, kind, ts) for label, kind, ts, _ in paired], atomic
+
+
+def parsed(parse, source):
+    """What a parser makes of ``source``: instance tuples, warnings and
+    errors, or the ParseError's message."""
+    try:
+        log = parse(source)
+    except ParseError as exc:
+        return str(exc)
+    return (
+        [(a.id, a.case_id, a.label, a.start_ts, a.complete_ts) for a in log.instances],
+        log.source_meta.warnings,
+        log.source_meta.errors,
+    )

@@ -13,6 +13,7 @@ import pytest
 
 import variantview
 from conftest import DATA
+from variantview import cli
 from variantview.cli import main
 
 
@@ -246,7 +247,26 @@ class TestBenchCommand:
         )
         doc = json.loads(out)
         assert doc["runs"] == 2
-        assert set(doc["phases"]) == {"preprocessing", "building_orders", "cutting", "total"}
+        assert list(doc["phases"]) == [
+            "parsing", "preprocessing", "building_orders", "cutting", "total"
+        ]
+        assert doc["phases"]["parsing"] == {"min": 0.0, "median": 0.0}
+
+    def test_input_times_parsing_on_every_run(self, capsys, monkeypatch):
+        parses = []
+        real = cli.parse_csv
+        monkeypatch.setattr(cli, "parse_csv", lambda *a: parses.append(a) or real(*a))
+        code, out, _ = run(
+            capsys,
+            "bench",
+            "--input", str(DATA / "worked_example.csv"),
+            "--repeat", "3",
+            "--output-format", "json",
+        )
+        assert code == 0
+        parsing = json.loads(out)["phases"]["parsing"]
+        assert 0 < parsing["min"] <= parsing["median"]
+        assert len(parses) == 4  # the first read, then one per run
 
 
 class TestErrorsAndConfig:
@@ -316,6 +336,29 @@ class TestErrorsAndConfig:
         assert "warning" in err
 
 
+def _corrupted_inputs(tmp_path) -> list[Path]:
+    packed = gzip.compress((DATA / "worked_example.xes").read_bytes())
+    half = tmp_path / "half.xes.gz"
+    half.write_bytes(packed[: len(packed) // 2])
+    zeroed = bytearray(packed)
+    zeroed[12:41] = bytes(29)
+    scrambled = tmp_path / "zeroed.xes.gz"
+    scrambled.write_bytes(bytes(zeroed[: len(zeroed) * 3 // 4]))
+    text = (DATA / "worked_example.csv").read_bytes()
+    at = text.index(b",A,") + 1
+    bad_utf8 = tmp_path / "bad_utf8.csv"
+    bad_utf8.write_bytes(text[:at] + b"\xff" + text[at:])
+    return [half, scrambled, bad_utf8]
+
+
+def test_corrupted_input_exits_2_with_one_line(capsys, tmp_path):
+    for path in _corrupted_inputs(tmp_path):
+        code, out, err = run(capsys, "variants", "--input", str(path))
+        assert code == 2, err
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: {path.name}: "), err
+
+
 class TestThreadsDeterminism:
     def test_threads_do_not_change_bytes(self, capsys):
         spec = "num_templates=4,traces_per_template=25,instances_per_trace=8,overlap_density=0.5"
@@ -325,11 +368,14 @@ class TestThreadsDeterminism:
 
 
 def test_cli_import_does_not_load_numpy():
+    """Nor the modules that made the import slow: the SAX escape pulled in
+    urllib.request, http.client and email."""
     src = str(Path(variantview.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    probe = "import sys, variantview.cli; print('numpy' in sys.modules)"
+    unwanted = ["numpy", "urllib.request", "http.client", "xml.sax", "xml.etree.ElementTree"]
+    probe = f"import sys, variantview.cli; print([m for m in {unwanted!r} if m in sys.modules])"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
