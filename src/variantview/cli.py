@@ -7,17 +7,18 @@ Exit codes: 0 success, 2 input error, 3 unknown variant/case reference,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
-import re
 import statistics
 import sys
 import time
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring as json_string
 from pathlib import Path
 
 from .ingest import ColumnMap, EventLog, ParseError, group_by_case, parse_csv, parse_xes
-from .layout import layout_json_text, variant_table
+from .layout import VariantTable, layout_json_text, variant_table
 from .order import build_interval_order, validate
 from .render import RenderConfig, render_svg, render_text
 from .stats import GeneratorSpec, PhaseTimings, generate_log, report, report_to_json, report_to_text
@@ -168,52 +169,48 @@ def _resolve_output_format(config: CliConfig, default: str, allowed: set[str]) -
     return fmt
 
 
-def _write_output(config: CliConfig, text: str) -> None:
+def _open_output(config: CliConfig):
+    """The ``--output`` file opened for writing, or stdout (left open)."""
     if config.output is None:
-        sys.stdout.write(text)
-    else:
-        config.output.write_text(text, encoding="utf-8")
+        return contextlib.nullcontext(sys.stdout)
+    return config.output.open("w", encoding="utf-8")
 
 
-# A "layout" field of a variant in the indented document. JSON strings hold
-# no raw newline, so only the field itself can start a line this way.
-_LAYOUT_SLOT = re.compile(r'^(      "layout": )(\d+)$', re.MULTILINE)
+def _write_output(config: CliConfig, text: str) -> None:
+    with _open_output(config) as out:
+        out.write(text)
+
+
+def _write_variants_json(out, table: VariantTable) -> None:
+    """Write the variants document piece by piece: equal to ``json.dumps(doc,
+    ensure_ascii=False, indent=2)`` but with each layout compact on one line,
+    so its size does not grow with depth, and one variant in memory at a time."""
+    items = table.sorted_items()
+    out.write(
+        f'{{\n  "num_variants": {len(items)},\n  "total_traces": {table.total_count},\n'
+        f'  "skipped_traces": {len(table.skipped)},\n  "variants": ['
+    )
+    for i, (key, entry) in enumerate(items):
+        cases = ",\n        ".join(map(json_string, entry.case_ids[:5]))
+        out.write(
+            f'{"," if i else ""}\n    {{\n      "key": {json_string(key)},\n'
+            f'      "count": {entry.count},\n'
+            f'      "has_fallback": {"true" if entry.has_fallback else "false"},\n'
+            f'      "representative_cases": [\n        {cases}\n      ],\n'
+            f'      "layout": {layout_json_text(entry.layout)}\n    }}'
+        )
+    out.write("\n  ]\n}\n" if items else "]\n}\n")
 
 
 def cmd_variants(config: CliConfig, args, log: EventLog, parse_seconds: float) -> int:
     table = variant_table(log)
     fmt = _resolve_output_format(config, default="json", allowed={"json", "text"})
-    if fmt == "json":
-        items = table.sorted_items()
-        payload = {
-            "num_variants": len(table.entries),
-            "total_traces": table.total_count,
-            "skipped_traces": len(table.skipped),
-            "variants": [
-                {
-                    "key": key,
-                    "count": entry.count,
-                    "has_fallback": entry.has_fallback,
-                    "representative_cases": entry.case_ids[:5],
-                    "layout": i,
-                }
-                for i, (key, entry) in enumerate(items)
-            ],
-        }
-        # The document is indented but each layout is compact on one line, so
-        # its size does not grow with depth. Layouts replace their index after the dump.
-        layouts = [layout_json_text(entry.layout) for _, entry in items]
-        text = _LAYOUT_SLOT.sub(
-            lambda m: m[1] + layouts[int(m[2])],
-            json.dumps(payload, ensure_ascii=False, indent=2),
-        )
-        _write_output(config, text + "\n")
-    else:
-        lines = [
-            f"{entry.count}\t{render_text(entry.layout)}"
-            for _, entry in table.sorted_items()
-        ]
-        _write_output(config, "".join(line + "\n" for line in lines))
+    with _open_output(config) as out:
+        if fmt == "json":
+            _write_variants_json(out, table)
+        else:
+            for _, entry in table.sorted_items():
+                out.write(f"{entry.count}\t{render_text(entry.layout)}\n")
     return EXIT_OK
 
 

@@ -19,7 +19,6 @@ import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from itertools import groupby
 from pathlib import Path
 from typing import IO, Sequence
 from xml.parsers import expat
@@ -158,14 +157,13 @@ class Trace:
 
 
 def group_by_case(log: EventLog) -> list[Trace]:
-    """Split an event log into one trace per distinct case id."""
-    ordered = sorted(
-        log.instances, key=lambda a: (a.case_id,) + instance_sort_key(a)
-    )
-    return [
-        Trace(case_id=case_id, instances=tuple(group))
-        for case_id, group in groupby(ordered, key=lambda a: a.case_id)
-    ]
+    """Split an event log into one trace per distinct case id, by case id.
+
+    Instances are bucketed in one pass; each trace sorts only its own."""
+    buckets: dict[str, list[ActivityInstance]] = {}
+    for a in log.instances:
+        buckets.setdefault(a.case_id, []).append(a)
+    return [Trace(case_id, tuple(group)) for case_id, group in sorted(buckets.items())]
 
 
 def pair_events(
@@ -247,6 +245,7 @@ def parse_csv(
     warnings: list[str] = []
     errors: list[str] = []
     instances: list[ActivityInstance] = []
+    share = {}.setdefault  # equal case ids and labels share one str
     try:
         file_name, stream, close = _open_text(source)
         rows = csv.reader(stream)
@@ -273,7 +272,10 @@ def parse_csv(
                     f"row {row_no} rejected: start {start_raw!r} after complete {complete_raw!r}"
                 )
                 continue
-            instances.append(ActivityInstance(row_no, row[case_i], row[label_i], start, complete))
+            case, label = row[case_i], row[label_i]
+            instances.append(
+                ActivityInstance(row_no, share(case, case), share(label, label), start, complete)
+            )
     except _UNREADABLE as exc:
         raise _unreadable(file_name, source, exc) from exc
     except csv.Error as exc:  # e.g. a quote left open runs past the field size limit
@@ -311,6 +313,7 @@ def parse_xes(source: str | Path | IO[bytes]) -> EventLog:
     file_name, stream, close = _open_binary(source)
     warnings: list[str] = []
     instances: list[ActivityInstance] = []
+    share = {}.setdefault  # equal case ids and labels share one str
     # Per open element: for a trace a list of its concept:name and then one
     # attribute dict per event, for an event of a trace that dict, else None.
     stack: list[list | dict | None] = [None]
@@ -338,7 +341,7 @@ def parse_xes(source: str | Path | IO[bytes]) -> EventLog:
         if type(trace) is not list:
             return
         trace_no += 1
-        case_id = trace[0] if trace[0] is not None else f"case_{trace_no}"
+        case_id = share(trace[0], trace[0]) if trace[0] is not None else f"case_{trace_no}"
         paired: list[tuple[str, str, int, int]] = []
         atomic: list[tuple[str, int]] = []
         for event_no, attrs in enumerate(trace[1:], start=1):
@@ -355,6 +358,7 @@ def parse_xes(source: str | Path | IO[bytes]) -> EventLog:
             except ValueError as exc:
                 warnings.append(f"trace {trace_no}: event {event_no} skipped ({exc})")
                 continue
+            label = share(label, label)
             lifecycle = attrs.get("lifecycle:transition", "").strip().lower()
             if lifecycle in ("start", "complete"):
                 paired.append((label, lifecycle, ts, event_no))
@@ -416,12 +420,12 @@ def _unreadable(file_name: str | None, source, exc: Exception) -> ParseError:
 def _open_text(source) -> tuple[str | None, IO[str], bool]:
     if isinstance(source, (str, Path)):
         path = Path(source)
-        return path.name, path.open("r", encoding="utf-8", newline=""), True
+        return path.name, path.open("r", encoding="utf-8-sig", newline=""), True
     if isinstance(source, io.TextIOBase):
         return getattr(source, "name", None), source, False
     data = source.read()
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        data = data.decode("utf-8-sig")
     return getattr(source, "name", None), io.StringIO(data), True
 
 

@@ -18,9 +18,9 @@ import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring as json_string
 
-from .cuts import ordering_blocks, parallel_blocks
+from .cuts import Run, ordering_blocks, parallel_blocks
 from .ingest import EventLog, Trace, group_by_case
-from .order import IntervalOrder, build_interval_order
+from .order import IntervalOrder
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,9 +47,15 @@ LayoutTree = Leaf | Sequence | Parallel | Fallback
 
 
 def build_layout(order: IntervalOrder) -> LayoutTree:
-    """Decompose an interval order into its layout tree.
+    """Decompose an interval order into its layout tree (see :func:`layout_run`)."""
+    return layout_run(order.vertices)
 
-    Deterministic: equal orders produce equal trees. Sequence and Parallel
+
+def layout_run(run: Run) -> LayoutTree:
+    """The layout tree of the interval order on a non-empty run of instances
+    sorted by ``instance_sort_key``, such as ``Trace.instances``.
+
+    Deterministic: equal runs produce equal trees. Sequence and Parallel
     children appear in block order (time order for parallel components).
     The walk keeps an explicit stack of sorted vertex runs, so tree depth is
     not bounded by the recursion limit, and cuts each run in place: blocks
@@ -58,7 +64,7 @@ def build_layout(order: IntervalOrder) -> LayoutTree:
     done: list[LayoutTree] = []
     # Entries are (None, run) to cut a run, or (node class, child count) to
     # assemble a node from the last finished children.
-    stack: list = [(None, order.vertices)]
+    stack: list = [(None, run)]
     while stack:
         node, item = stack.pop()
         if node is not None:
@@ -81,7 +87,7 @@ def build_layout(order: IntervalOrder) -> LayoutTree:
 
 
 def layout_trace(trace: Trace) -> LayoutTree:
-    return build_layout(build_interval_order(trace))
+    return layout_run(trace.instances)
 
 
 _STRUCTURAL = re.compile(r"[\\(){},]")
@@ -223,14 +229,12 @@ class VariantEntry:
 class VariantTable:
     """Canonical layout key -> occurrence count and representative cases.
 
-    ``building_orders`` and ``cutting`` are the wall-clock seconds that
-    :func:`variants_of_traces` spent building interval orders and cutting
-    them into keyed layouts.
+    ``cutting`` is the wall-clock seconds that :func:`variants_of_traces`
+    spent cutting traces into layouts and keying them.
     """
 
     entries: dict[str, VariantEntry] = field(default_factory=dict)
     skipped: list[str] = field(default_factory=list)
-    building_orders: float = 0.0
     cutting: float = 0.0
 
     def add(self, key: str, tree: LayoutTree, case_id: str) -> None:
@@ -268,23 +272,17 @@ def variant_table(log: EventLog, threads: int = 1) -> VariantTable:
 
 
 def variants_of_traces(traces: list[Trace]) -> VariantTable:
-    """The variant pipeline: order every trace, cut it, key it, aggregate.
-
-    Empty traces are skipped. The table records the wall time of building
-    the orders and of cutting and keying them.
-    """
-    usable = [t for t in traces if t.instances]
-    table = VariantTable(skipped=[t.case_id for t in traces if not t.instances])
-
-    t0 = time.perf_counter()
-    orders = [build_interval_order(t) for t in usable]
-    table.building_orders = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    trees = [build_layout(o) for o in orders]
-    keys = [canonical_form(t) for t in trees]
-    table.cutting = time.perf_counter() - t0
-
-    for trace, key, tree in zip(usable, keys, trees):
+    """The variant pipeline: cut, key and tally one trace at a time, so only
+    each variant's representative tree is kept. A trace's sorted run is its
+    interval order; none is built. Empty traces are skipped."""
+    table = VariantTable()
+    for trace in traces:
+        if not trace.instances:
+            table.skipped.append(trace.case_id)
+            continue
+        t0 = time.perf_counter()
+        tree = layout_run(trace.instances)
+        key = canonical_form(tree)
+        table.cutting += time.perf_counter() - t0
         table.add(key, tree, trace.case_id)
     return table

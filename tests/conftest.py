@@ -8,11 +8,13 @@ against and must not share logic with them.
 from __future__ import annotations
 
 import csv
+import json
 import random
 import re
 import xml.etree.ElementTree as ET
 from collections import deque
 from datetime import datetime, timedelta, timezone
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -27,9 +29,19 @@ from variantview.ingest import (
     Trace,
     _open_binary,
     _open_text,
+    instance_sort_key,
     pair_events,
 )
-from variantview.layout import Fallback, Leaf, Parallel, Sequence
+from variantview.layout import (
+    Fallback,
+    Leaf,
+    Parallel,
+    Sequence,
+    VariantTable,
+    build_layout,
+    canonical_form,
+    layout_json_text,
+)
 from variantview.order import IntervalOrder, build_interval_order, induced_suborder
 
 DATA = Path(__file__).parent / "data"
@@ -199,6 +211,58 @@ def reference_layout(order: IntervalOrder):
         return Fallback(tuple(sorted(v.label for v in order.vertices)))
     node = Sequence if cut.kind is CutKind.ORDERING else Parallel
     return node(tuple(reference_layout(induced_suborder(order, g)) for g in cut.groups))
+
+
+# Reference pipeline: the order-based one the per-trace loop replaced. It
+# sorts the whole log, builds every trace's IntervalOrder (which sorts its
+# vertices again) and keeps every tree and key until the table is filled.
+
+
+def reference_group_by_case(log: EventLog) -> list[Trace]:
+    """``group_by_case`` as one sort of the whole log and ``groupby``."""
+    ordered = sorted(log.instances, key=lambda a: (a.case_id,) + instance_sort_key(a))
+    return [Trace(c, tuple(g)) for c, g in groupby(ordered, key=lambda a: a.case_id)]
+
+
+def reference_variants(traces: list[Trace]) -> VariantTable:
+    """``variants_of_traces`` over whole-log lists of orders, trees and keys."""
+    usable = [t for t in traces if t.instances]
+    table = VariantTable(skipped=[t.case_id for t in traces if not t.instances])
+    orders = [build_interval_order(t) for t in usable]
+    trees = [build_layout(o) for o in orders]
+    keys = [canonical_form(t) for t in trees]
+    for trace, key, tree in zip(usable, keys, trees):
+        table.add(key, tree, trace.case_id)
+    return table
+
+
+_LAYOUT_SLOT = re.compile(r'^(      "layout": )(\d+)$', re.MULTILINE)
+
+
+def reference_variants_document(table: VariantTable) -> str:
+    """The ``variants`` JSON document as one ``json.dumps`` with each layout
+    spliced in, compact, where its index was."""
+    items = table.sorted_items()
+    payload = {
+        "num_variants": len(table.entries),
+        "total_traces": table.total_count,
+        "skipped_traces": len(table.skipped),
+        "variants": [
+            {
+                "key": key,
+                "count": entry.count,
+                "has_fallback": entry.has_fallback,
+                "representative_cases": entry.case_ids[:5],
+                "layout": i,
+            }
+            for i, (key, entry) in enumerate(items)
+        ],
+    }
+    layouts = [layout_json_text(entry.layout) for _, entry in items]
+    text = _LAYOUT_SLOT.sub(
+        lambda m: m[1] + layouts[int(m[2])], json.dumps(payload, ensure_ascii=False, indent=2)
+    )
+    return text + "\n"
 
 
 # Reference parsers: the element-tree and DictReader readers the streaming

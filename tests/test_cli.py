@@ -24,6 +24,16 @@ def run(capsys, *argv):
 
 
 class TestVariantsCommand:
+    def test_byte_order_mark_gives_the_same_bytes(self, tmp_path):
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + (DATA / "worked_example.csv").read_bytes())
+        outputs = []
+        for path in (DATA / "worked_example.csv", marked):
+            out = tmp_path / f"{path.stem}.json"
+            assert main(["variants", "--input", str(path), "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_worked_example_json(self, capsys):
         code, out, _ = run(capsys, "variants", "--input", str(DATA / "worked_example.csv"))
         assert code == 0

@@ -166,6 +166,21 @@ class TestPairEvents:
         with pytest.raises(ValueError):
             pair_events([("A", "resume", 1)])
 
+    def test_leftover_starts_are_emitted_in_time_order(self):
+        # A's queue comes first in the pending dict but holds the latest start.
+        warnings = []
+        events = [("A", "start", 1), ("C", "complete", 3), ("B", "start", 5), ("A", "start", 7)]
+        out = pair_events(events, case_id="k", id_start=10, warnings=warnings)
+        assert [(i.id, i.label, i.start_ts, i.complete_ts) for i in out] == [
+            (10, "C", 3, 3), (11, "A", 1, 1), (12, "B", 5, 5), (13, "A", 7, 7)
+        ]
+        assert warnings == [
+            "case 'k': unmatched complete event for 'C'",
+            "case 'k': unmatched start event for 'A'",
+            "case 'k': unmatched start event for 'B'",
+            "case 'k': unmatched start event for 'A'",
+        ]
+
 
 class TestParseCsv:
     def test_worked_example_row_values(self):
@@ -230,6 +245,37 @@ class TestParseCsv:
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"case,label,start,complete\n1,\xff,07/13/2021 08:00,07/13/2021 09:00\n")
         with pytest.raises(ParseError, match=r"^bad\.csv: not UTF-8 text at byte 28 "):
+            parse_csv(bad)
+
+    def test_start_one_microsecond_after_complete_is_an_error_entry(self):
+        log = parse_csv(
+            io.StringIO(
+                "case,label,start,complete\n"
+                "c,A,2021-07-13T08:00:00.000001Z,2021-07-13T08:00:00Z\n"
+                "c,B,2021-07-13T08:00:00Z,2021-07-13T08:00:00Z\n"
+            )
+        )
+        assert [(a.id, a.label) for a in log.instances] == [(2, "B")]
+        assert log.source_meta.errors == (
+            "row 1 rejected: start '2021-07-13T08:00:00.000001Z' "
+            "after complete '2021-07-13T08:00:00Z'",
+        )
+        assert log.source_meta.warnings == ()
+
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        plain = (DATA / "worked_example.csv").read_bytes()
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain)
+        expected = parsed(parse_csv, DATA / "worked_example.csv")[:2]
+        assert parsed(parse_csv, marked)[:2] == expected
+        assert parsed(parse_csv, io.BytesIO(b"\xef\xbb\xbf" + plain))[:2] == expected
+
+    def test_bad_utf8_offset_counts_the_byte_order_mark(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(
+            b"\xef\xbb\xbfcase,label,start,complete\n1,\xff,07/13/2021 08:00,07/13/2021 09:00\n"
+        )
+        with pytest.raises(ParseError, match=r"^bad\.csv: not UTF-8 text at byte 31 "):
             parse_csv(bad)
 
     def test_quote_left_open_is_parse_error(self, tmp_path):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import DATA, make_trace
+from conftest import CHAINED_ROWS, DATA, inst, make_trace
 from variantview.ingest import EventLog, group_by_case, parse_csv
 from variantview.layout import Fallback, Parallel, Sequence, layout_trace, variant_table
 from variantview.stats import (
@@ -99,6 +99,16 @@ class TestReport:
             b.classic_variant_count,
             b.interval_variant_count,
         )
+
+    def test_fallback_pct_is_a_share_of_interval_variants(self):
+        # Three cases, two variants, one of them with a fallback: 50%, not 33%.
+        rows = [("a", "A", 0, 10), ("a", "B", 20, 30), ("b", "A", 0, 5), ("b", "B", 40, 50)]
+        rows += [("c", label, s, c) for label, s, c in CHAINED_ROWS]
+        log = EventLog(tuple(inst(i, l, s, c, case=k) for i, (k, l, s, c) in enumerate(rows)))
+        rep = report(log)
+        assert (rep.num_cases, rep.interval_variant_count) == (3, 2)
+        assert rep.fallback_variant_count == 1
+        assert rep.fallback_variant_pct == 50.0
 
     def test_fallback_pct_zero_for_distinct_atomic_logs(self):
         rng = random.Random(52)
