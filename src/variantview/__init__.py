@@ -48,7 +48,7 @@ from .order import (
     to_dot,
     validate,
 )
-from .render import RenderConfig, label_color, render_svg, render_text
+from .render import label_color, render_svg, render_text
 from .stats import (
     GeneratorSpec,
     LogReport,
@@ -77,7 +77,6 @@ __all__ = [
     "Parallel",
     "ParseError",
     "PhaseTimings",
-    "RenderConfig",
     "Sequence",
     "SourceMeta",
     "Trace",

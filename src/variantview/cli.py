@@ -9,18 +9,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from json.encoder import encode_basestring as json_string
 from pathlib import Path
 
 from .ingest import ColumnMap, EventLog, ParseError, group_by_case, parse_csv, parse_xes
 from .layout import VariantTable, layout_json_text, variant_table
 from .order import build_interval_order, validate
-from .render import RenderConfig, render_svg, render_text
+from .render import render_svg, render_text
 from .stats import GeneratorSpec, PhaseTimings, generate_log, report, report_to_json, report_to_text
 
 EXIT_OK = 0
@@ -37,38 +36,21 @@ class UnknownReference(Exception):
     """Requested variant key or case id does not exist (exit 3)."""
 
 
-@dataclass(slots=True)
-class CliConfig:
-    input: Path | None
-    format: str
-    columns: ColumnMap
-    output: Path | None
-    output_format: str | None
-    seed: int
-    generate: GeneratorSpec | None
+def _check_args(args: argparse.Namespace) -> None:
+    """Validate the parsed arguments and convert them in place: ``input`` and
+    ``output`` to paths, ``columns`` to a ColumnMap, ``generate`` to a spec."""
+    # --threads has no effect but is still validated.
+    if args.threads < 1:
+        raise InputError(f"--threads must be >= 1, got {args.threads}")
 
-
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    # --threads and VW_THREADS have no effect but are still validated.
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("VW_THREADS", "1")
-        try:
-            threads = int(env)
-        except ValueError:
-            raise InputError(f"VW_THREADS is not an integer: {env!r}")
-    if threads < 1:
-        raise InputError(f"--threads must be >= 1, got {threads}")
-
-    generate = None
     if args.generate is not None:
-        generate = _parse_generate(args.generate, args.seed)
+        args.generate = _parse_generate(args.generate, args.seed)
 
-    input_path = Path(args.input) if args.input else None
-    if (input_path is None) == (generate is None):
+    args.input = Path(args.input) if args.input else None
+    if (args.input is None) == (args.generate is None):
         raise InputError("exactly one of --input and --generate is required")
-    if input_path is not None and not input_path.exists():
-        raise InputError(f"input file does not exist: {input_path}")
+    if args.input is not None and not args.input.exists():
+        raise InputError(f"input file does not exist: {args.input}")
 
     columns = ColumnMap()
     if args.columns:
@@ -78,16 +60,8 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
                 "--columns needs four comma-separated names: case,label,start,complete"
             )
         columns = ColumnMap(*parts)
-
-    return CliConfig(
-        input=input_path,
-        format=args.format,
-        columns=columns,
-        output=Path(args.output) if args.output else None,
-        output_format=args.output_format,
-        seed=args.seed,
-        generate=generate,
-    )
+    args.columns = columns
+    args.output = Path(args.output) if args.output else None
 
 
 _GENERATE_KEYS = (
@@ -134,16 +108,16 @@ def _detect_format(path: Path, explicit: str) -> str:
     )
 
 
-def _load_log(config: CliConfig) -> tuple[EventLog, float]:
+def _load_log(args: argparse.Namespace) -> tuple[EventLog, float]:
     """Parse or generate the event log; returns (log, parse seconds)."""
-    if config.generate is not None:
-        return generate_log(config.generate), 0.0
-    fmt = _detect_format(config.input, config.format)
+    if args.generate is not None:
+        return generate_log(args.generate), 0.0
+    fmt = _detect_format(args.input, args.format)
     t0 = time.perf_counter()
     if fmt == "xes":
-        log = parse_xes(config.input)
+        log = parse_xes(args.input)
     else:
-        log = parse_csv(config.input, config.columns)
+        log = parse_csv(args.input, args.columns)
     return log, time.perf_counter() - t0
 
 
@@ -156,10 +130,10 @@ def _emit_diagnostics(log: EventLog) -> None:
             print(f"... and {len(messages) - 20} more {kind}s", file=sys.stderr)
 
 
-def _resolve_output_format(config: CliConfig, default: str, allowed: set[str]) -> str:
-    fmt = config.output_format
-    if fmt is None and config.output is not None:
-        suffix = config.output.suffix.lower().lstrip(".")
+def _resolve_output_format(args: argparse.Namespace, default: str, allowed: set[str]) -> str:
+    fmt = args.output_format
+    if fmt is None and args.output is not None:
+        suffix = args.output.suffix.lower().lstrip(".")
         if suffix in allowed:
             fmt = suffix
     if fmt is None:
@@ -169,15 +143,15 @@ def _resolve_output_format(config: CliConfig, default: str, allowed: set[str]) -
     return fmt
 
 
-def _open_output(config: CliConfig):
+def _open_output(args: argparse.Namespace):
     """The ``--output`` file opened for writing, or stdout (left open)."""
-    if config.output is None:
+    if args.output is None:
         return contextlib.nullcontext(sys.stdout)
-    return config.output.open("w", encoding="utf-8")
+    return args.output.open("w", encoding="utf-8")
 
 
-def _write_output(config: CliConfig, text: str) -> None:
-    with _open_output(config) as out:
+def _write_output(args: argparse.Namespace, text: str) -> None:
+    with _open_output(args) as out:
         out.write(text)
 
 
@@ -202,10 +176,10 @@ def _write_variants_json(out, table: VariantTable) -> None:
     out.write("\n  ]\n}\n" if items else "]\n}\n")
 
 
-def cmd_variants(config: CliConfig, args, log: EventLog, parse_seconds: float) -> int:
+def cmd_variants(args, log: EventLog, parse_seconds: float) -> int:
     table = variant_table(log)
-    fmt = _resolve_output_format(config, default="json", allowed={"json", "text"})
-    with _open_output(config) as out:
+    fmt = _resolve_output_format(args, default="json", allowed={"json", "text"})
+    with _open_output(args) as out:
         if fmt == "json":
             _write_variants_json(out, table)
         else:
@@ -214,7 +188,7 @@ def cmd_variants(config: CliConfig, args, log: EventLog, parse_seconds: float) -
     return EXIT_OK
 
 
-def cmd_render(config: CliConfig, args, log: EventLog, parse_seconds: float) -> int:
+def cmd_render(args, log: EventLog, parse_seconds: float) -> int:
     table = variant_table(log)
     if args.key is not None:
         entry = table.entries.get(args.key)
@@ -225,29 +199,29 @@ def cmd_render(config: CliConfig, args, log: EventLog, parse_seconds: float) -> 
         if found is None:
             raise UnknownReference(f"no case with id {args.case!r}")
         entry = found[1]
-    fmt = _resolve_output_format(config, default="svg", allowed={"svg", "text", "json"})
+    fmt = _resolve_output_format(args, default="svg", allowed={"svg", "text", "json"})
     if fmt == "svg":
-        text = render_svg(entry.layout, RenderConfig(palette_seed=config.seed))
+        text = render_svg(entry.layout, palette_seed=args.seed)
     elif fmt == "text":
         text = render_text(entry.layout) + "\n"
     else:
         text = layout_json_text(entry.layout) + "\n"
-    _write_output(config, text)
+    _write_output(args, text)
     return EXIT_OK
 
 
-def cmd_stats(config: CliConfig, args, log: EventLog, parse_seconds: float) -> int:
+def cmd_stats(args, log: EventLog, parse_seconds: float) -> int:
     rep = report(log, extra_preprocessing_seconds=parse_seconds)
-    fmt = _resolve_output_format(config, default="text", allowed={"json", "text"})
+    fmt = _resolve_output_format(args, default="text", allowed={"json", "text"})
     if fmt == "json":
-        _write_output(config, json.dumps(report_to_json(rep), indent=2) + "\n")
+        _write_output(args, json.dumps(report_to_json(rep), indent=2) + "\n")
     else:
-        name = config.input.name if config.input else "synthetic"
-        _write_output(config, report_to_text(rep, name))
+        name = args.input.name if args.input else "synthetic"
+        _write_output(args, report_to_text(rep, name))
     return EXIT_OK
 
 
-def cmd_check(config: CliConfig, args, log: EventLog, parse_seconds: float) -> int:
+def cmd_check(args, log: EventLog, parse_seconds: float) -> int:
     traces = group_by_case(log)
     lines = []
     bad = 0
@@ -258,22 +232,22 @@ def cmd_check(config: CliConfig, args, log: EventLog, parse_seconds: float) -> i
             bad += 1
             lines.append(f"case {trace.case_id}: {violation}")
     lines.append(f"checked {len(traces)} traces: {bad} violations")
-    _write_output(config, "".join(line + "\n" for line in lines))
+    _write_output(args, "".join(line + "\n" for line in lines))
     # A constructed order violating its own axioms is an internal error.
     return EXIT_OK if bad == 0 else EXIT_INTERNAL
 
 
-def cmd_bench(config: CliConfig, args, log: EventLog, parse_seconds: float) -> int:
+def cmd_bench(args, log: EventLog, parse_seconds: float) -> int:
     parsing, runs = [], []
     for _ in range(args.repeat):
-        if config.input is not None:  # re-read the file, so parsing is timed too
-            log, parse_seconds = _load_log(config)
+        if args.input is not None:  # re-read the file, so parsing is timed too
+            log, parse_seconds = _load_log(args)
         parsing.append(parse_seconds)
         runs.append(report(log).timings)
     phases = {"parsing": parsing} | {
         f.name: [getattr(r, f.name) for r in runs] for f in fields(PhaseTimings)
     }
-    fmt = _resolve_output_format(config, default="text", allowed={"json", "text"})
+    fmt = _resolve_output_format(args, default="text", allowed={"json", "text"})
     if fmt == "json":
         payload = {
             "runs": args.repeat,
@@ -282,14 +256,14 @@ def cmd_bench(config: CliConfig, args, log: EventLog, parse_seconds: float) -> i
                 for name, vals in phases.items()
             },
         }
-        _write_output(config, json.dumps(payload, indent=2) + "\n")
+        _write_output(args, json.dumps(payload, indent=2) + "\n")
     else:
         lines = [f"benchmark: {args.repeat} runs", f"{'phase':<16} {'min':>10} {'median':>10}"]
         for name, vals in phases.items():
             lines.append(
                 f"{name:<16} {min(vals):>9.3f}s {statistics.median(vals):>9.3f}s"
             )
-        _write_output(config, "".join(line + "\n" for line in lines))
+        _write_output(args, "".join(line + "\n" for line in lines))
     return EXIT_OK
 
 
@@ -318,10 +292,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format (default: per command, or by --output extension)",
     )
     common.add_argument(
-        "--threads", type=int, default=None,
+        "--threads", type=int, default=1,
         help=(
             "accepted for compatibility and has no effect: the pipeline runs in "
-            "one thread, output bytes are the same (VW_THREADS likewise)"
+            "one thread, output bytes are the same"
         ),
     )
     common.add_argument("--seed", type=int, default=0, help="seed for colors and --generate")
@@ -361,10 +335,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_INPUT
     try:
-        config = _config_from_args(args)
-        log, parse_seconds = _load_log(config)
+        _check_args(args)
+        log, parse_seconds = _load_log(args)
         _emit_diagnostics(log)
-        return args.func(config, args, log, parse_seconds)
+        return args.func(args, log, parse_seconds)
     except (InputError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -19,6 +19,7 @@ import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Sequence
 from xml.parsers import expat
@@ -342,7 +343,7 @@ def parse_xes(source: str | Path | IO[bytes]) -> EventLog:
             return
         trace_no += 1
         case_id = share(trace[0], trace[0]) if trace[0] is not None else f"case_{trace_no}"
-        paired: list[tuple[str, str, int, int]] = []
+        paired: list[tuple[str, str, int]] = []
         atomic: list[tuple[str, int]] = []
         for event_no, attrs in enumerate(trace[1:], start=1):
             label = attrs.get("concept:name")
@@ -361,14 +362,12 @@ def parse_xes(source: str | Path | IO[bytes]) -> EventLog:
             label = share(label, label)
             lifecycle = attrs.get("lifecycle:transition", "").strip().lower()
             if lifecycle in ("start", "complete"):
-                paired.append((label, lifecycle, ts, event_no))
+                paired.append((label, lifecycle, ts))
             else:
                 atomic.append((label, ts))
-        # Stable sort by timestamp, keeping document order on ties.
-        paired.sort(key=lambda e: (e[2], e[3]))
-        events = [(label, kind, ts) for label, kind, ts, _ in paired]
+        paired.sort(key=itemgetter(2))  # stable: ties keep document order
         instances.extend(
-            pair_events(events, case_id=case_id, id_start=len(instances), warnings=warnings)
+            pair_events(paired, case_id=case_id, id_start=len(instances), warnings=warnings)
         )
         for label, ts in atomic:
             instances.append(ActivityInstance(len(instances), case_id, label, ts, ts))

@@ -14,7 +14,6 @@ Fallback labels; everything else is structural.
 from __future__ import annotations
 
 import re
-import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring as json_string
 
@@ -40,7 +39,10 @@ class Parallel:
 
 @dataclass(frozen=True, slots=True)
 class Fallback:
-    labels: tuple  # label multiset, stored sorted
+    labels: tuple  # label multiset, sorted here once so no reader sorts it
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "labels", tuple(sorted(self.labels)))
 
 
 LayoutTree = Leaf | Sequence | Parallel | Fallback
@@ -79,7 +81,7 @@ def layout_run(run: Run) -> LayoutTree:
         if len(blocks) < 2:
             node, blocks = Parallel, parallel_blocks(item)
             if len(blocks) < 2:
-                done.append(Fallback(tuple(sorted(v.label for v in item))))
+                done.append(Fallback(tuple(v.label for v in item)))
                 continue
         stack.append((node, len(blocks)))
         stack.extend((None, b) for b in reversed(blocks))
@@ -128,7 +130,7 @@ def _key(node: LayoutTree, parts: list[str]) -> str:
     if isinstance(node, Leaf):
         return escape_label(node.label)
     if isinstance(node, Fallback):
-        return "u{" + ",".join(escape_label(l) for l in sorted(node.labels)) + "}"
+        return "u{" + ",".join(map(escape_label, node.labels)) + "}"
     if isinstance(node, Sequence):
         return "s(" + ",".join(parts) + ")"
     return "p(" + ",".join(sorted(parts)) + ")"
@@ -159,7 +161,7 @@ def _json_node(node: LayoutTree, kids: list[dict]) -> dict:
     if isinstance(node, Leaf):
         return {"kind": "leaf", "label": node.label}
     if isinstance(node, Fallback):
-        return {"kind": "fallback", "labels": sorted(node.labels)}
+        return {"kind": "fallback", "labels": list(node.labels)}
     return {"kind": "seq" if isinstance(node, Sequence) else "par", "children": kids}
 
 
@@ -172,7 +174,7 @@ def _json_text(node: LayoutTree, kids: list[str]) -> str:
     if isinstance(node, Leaf):
         return '{"kind":"leaf","label":' + json_string(node.label) + "}"
     if isinstance(node, Fallback):
-        labels = ",".join(map(json_string, sorted(node.labels)))
+        labels = ",".join(map(json_string, node.labels))
         return '{"kind":"fallback","labels":[' + labels + "]}"
     kind = "seq" if isinstance(node, Sequence) else "par"
     return '{"kind":"' + kind + '","children":[' + ",".join(kids) + "]}"
@@ -206,7 +208,7 @@ def layout_from_json(obj: dict) -> LayoutTree:
         if kind == "leaf" and isinstance(value, str):
             done.append(Leaf(value))
         elif kind == "fallback" and isinstance(value, list) and {type(l) for l in value} == {str}:
-            done.append(Fallback(tuple(sorted(value))))
+            done.append(Fallback(tuple(value)))
         elif kind in ("seq", "par") and value and isinstance(value, list):
             stack += (node, _CLOSE)
             stack.extend(reversed(value))
@@ -227,15 +229,10 @@ class VariantEntry:
 
 @dataclass(slots=True)
 class VariantTable:
-    """Canonical layout key -> occurrence count and representative cases.
-
-    ``cutting`` is the wall-clock seconds that :func:`variants_of_traces`
-    spent cutting traces into layouts and keying them.
-    """
+    """Canonical layout key -> occurrence count and representative cases."""
 
     entries: dict[str, VariantEntry] = field(default_factory=dict)
     skipped: list[str] = field(default_factory=list)
-    cutting: float = 0.0
 
     def add(self, key: str, tree: LayoutTree, case_id: str) -> None:
         entry = self.entries.get(key)
@@ -280,9 +277,6 @@ def variants_of_traces(traces: list[Trace]) -> VariantTable:
         if not trace.instances:
             table.skipped.append(trace.case_id)
             continue
-        t0 = time.perf_counter()
         tree = layout_run(trace.instances)
-        key = canonical_form(tree)
-        table.cutting += time.perf_counter() - t0
-        table.add(key, tree, trace.case_id)
+        table.add(canonical_form(tree), tree, trace.case_id)
     return table

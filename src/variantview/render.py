@@ -9,24 +9,16 @@ labels. Chevron width is constant per leaf; it encodes order, not duration.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import partial
 
 from .layout import Fallback, LayoutTree, Leaf, Sequence, escape_label, fold
 
 
-@dataclass(frozen=True, slots=True)
-class RenderConfig:
-    unit_height: float = 28.0
-    chevron_indent: float = 10.0
-    padding: float = 4.0
-    palette_seed: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("unit_height", "chevron_indent", "padding"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-
+# Chevron geometry: the height of one row, the depth of a chevron's notch,
+# and the gap between neighbours and around the drawing.
+UNIT_HEIGHT = 28.0
+NOTCH = 10.0
+PADDING = 4.0
 
 # Perceptually well-separated qualitative palette.
 PALETTE = (
@@ -37,7 +29,7 @@ PALETTE = (
 )
 
 _CONTAINER_FILLS = ("#f5f5f5", "#e9e9e9", "#dddddd")
-_LEAF_WIDTH_UNITS = 3.0
+_LEAF_WIDTH = 3.0 * UNIT_HEIGHT
 
 
 def label_color(label: str, palette_seed: int = 0) -> str:
@@ -57,7 +49,7 @@ def _text_node(node: LayoutTree, parts: list[str]) -> str:
     if isinstance(node, Leaf):
         return escape_label(node.label)
     if isinstance(node, Fallback):
-        return "unordered{" + ",".join(escape_label(l) for l in sorted(node.labels)) + "}"
+        return "unordered{" + ",".join(map(escape_label, node.labels)) + "}"
     return ("seq(" if isinstance(node, Sequence) else "par(") + ",".join(parts) + ")"
 
 
@@ -66,14 +58,13 @@ def render_text(tree: LayoutTree) -> str:
     return fold(tree, _text_node)
 
 
-def render_svg(tree: LayoutTree, config: RenderConfig | None = None) -> str:
-    """Render a layout tree as an SVG 1.1 document (byte-deterministic)."""
-    cfg = config or RenderConfig()
+def render_svg(tree: LayoutTree, palette_seed: int = 0) -> str:
+    """Render a layout tree as an SVG 1.1 document (byte-deterministic);
+    ``palette_seed`` picks the leaf colors (see :func:`label_color`)."""
     sizes: dict[int, tuple[float, float]] = {}
-    width, height = fold(tree, partial(_measure, cfg, sizes))
-    margin = cfg.padding
-    parts = _draw((tree, margin, margin, width, height, 0), cfg, sizes)
-    total_w, total_h = width + 2 * margin, height + 2 * margin
+    width, height = fold(tree, partial(_measure, sizes))
+    parts = _draw((tree, PADDING, PADDING, width, height, 0), palette_seed, sizes)
+    total_w, total_h = width + 2 * PADDING, height + 2 * PADDING
     head = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -87,30 +78,28 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _measure(cfg: RenderConfig, sizes: dict, node: LayoutTree, child_sizes: list) -> tuple:
+def _measure(sizes: dict, node: LayoutTree, child_sizes: list) -> tuple:
     """Natural (width, height) of a node from its children's; records it in
     ``sizes`` by node id, so drawing never measures a subtree twice."""
-    leaf_w = _LEAF_WIDTH_UNITS * cfg.unit_height
     if isinstance(node, Leaf):
-        size = (leaf_w, cfg.unit_height)
+        size = (_LEAF_WIDTH, UNIT_HEIGHT)
     elif isinstance(node, Fallback):
-        size = (leaf_w, cfg.unit_height * len(node.labels))
+        size = (_LEAF_WIDTH, UNIT_HEIGHT * len(node.labels))
     elif isinstance(node, Sequence):
         size = (
-            sum(w for w, _ in child_sizes) + cfg.padding * (len(child_sizes) - 1),
+            sum(w for w, _ in child_sizes) + PADDING * (len(child_sizes) - 1),
             max(h for _, h in child_sizes),
         )
     else:
-        inset_w = 2 * (cfg.chevron_indent + cfg.padding)
         size = (
-            max(w for w, _ in child_sizes) + inset_w,
-            sum(h for _, h in child_sizes) + cfg.padding * (len(child_sizes) + 1),
+            max(w for w, _ in child_sizes) + 2 * (NOTCH + PADDING),
+            sum(h for _, h in child_sizes) + PADDING * (len(child_sizes) + 1),
         )
     sizes[id(node)] = size
     return size
 
 
-def _draw(root: tuple, cfg: RenderConfig, sizes: dict) -> list[str]:
+def _draw(root: tuple, palette_seed: int, sizes: dict) -> list[str]:
     """SVG elements of a placed node ``(node, x, y, w, h, depth)``, top-down
     (a box comes from the parent's) on a stack of placed nodes and end tags."""
     out: list[str] = []
@@ -122,19 +111,19 @@ def _draw(root: tuple, cfg: RenderConfig, sizes: dict) -> list[str]:
             continue
         node, x, y, w, h, depth = item
         if isinstance(node, Leaf):
-            fill = label_color(node.label, cfg.palette_seed)
+            fill = label_color(node.label, palette_seed)
             out.append('<g class="leaf">')
-            out.append(_chevron(x, y, w, h, cfg.chevron_indent, fill))
-            out.append(_text(x + w / 2, y + h / 2, node.label, cfg, _text_color(fill)))
+            out.append(_chevron(x, y, w, h, fill))
+            out.append(_text(x + w / 2, y + h / 2, node.label, _text_color(fill)))
             out.append("</g>\n")
             continue
         if isinstance(node, Fallback):
             fill = _CONTAINER_FILLS[depth % len(_CONTAINER_FILLS)]
             out.append('<g class="fallback">')
-            out.append(_chevron(x, y, w, h, cfg.chevron_indent, fill))
+            out.append(_chevron(x, y, w, h, fill))
             line_h = h / len(node.labels)
-            for i, label in enumerate(sorted(node.labels)):
-                out.append(_text(x + w / 2, y + line_h * (i + 0.5), label, cfg, "#1a1a1a"))
+            for i, label in enumerate(node.labels):
+                out.append(_text(x + w / 2, y + line_h * (i + 0.5), label, "#1a1a1a"))
             out.append("</g>\n")
             continue
         child_sizes = [sizes[id(c)] for c in node.children]
@@ -142,34 +131,34 @@ def _draw(root: tuple, cfg: RenderConfig, sizes: dict) -> list[str]:
         if isinstance(node, Sequence):
             out.append('<g class="seq">\n')
             pool = sum(cw for cw, _ in child_sizes)
-            extra = max(0.0, w - (pool + cfg.padding * (len(child_sizes) - 1)))
+            extra = max(0.0, w - (pool + PADDING * (len(child_sizes) - 1)))
             cursor = x
             for i, (child, (cw, _)) in enumerate(zip(node.children, child_sizes)):
                 cw_final = cw + extra * cw / pool
                 if i == len(child_sizes) - 1:
                     cw_final = x + w - cursor  # close rounding drift exactly
                 placed.append((child, cursor, y, cw_final, h, depth))
-                cursor += cw_final + cfg.padding
+                cursor += cw_final + PADDING
         else:
             fill = _CONTAINER_FILLS[depth % len(_CONTAINER_FILLS)]
             out.append('<g class="par">\n')
-            out.append(_chevron(x, y, w, h, cfg.chevron_indent, fill))
-            inner_x = x + cfg.chevron_indent + cfg.padding
-            inner_w = w - 2 * (cfg.chevron_indent + cfg.padding)
+            out.append(_chevron(x, y, w, h, fill))
+            inner_x = x + NOTCH + PADDING
+            inner_w = w - 2 * (NOTCH + PADDING)
             pool = sum(ch for _, ch in child_sizes)
-            extra = max(0.0, h - (pool + cfg.padding * (len(child_sizes) + 1)))
-            cursor = y + cfg.padding
+            extra = max(0.0, h - (pool + PADDING * (len(child_sizes) + 1)))
+            cursor = y + PADDING
             for child, (_, ch) in zip(node.children, child_sizes):
                 ch_final = ch + extra * ch / pool
                 placed.append((child, inner_x, cursor, inner_w, ch_final, depth + 1))
-                cursor += ch_final + cfg.padding
+                cursor += ch_final + PADDING
         stack.append("</g>\n")
         stack.extend(reversed(placed))
     return out
 
 
-def _chevron(x: float, y: float, w: float, h: float, indent: float, fill: str) -> str:
-    notch = min(indent, w / 2)
+def _chevron(x: float, y: float, w: float, h: float, fill: str) -> str:
+    notch = min(NOTCH, w / 2)
     points = " ".join(
         f"{_fmt(px)},{_fmt(py)}"
         for px, py in (
@@ -187,8 +176,8 @@ def _chevron(x: float, y: float, w: float, h: float, indent: float, fill: str) -
     )
 
 
-def _text(cx: float, cy: float, label: str, cfg: RenderConfig, color: str) -> str:
-    size = 0.45 * cfg.unit_height
+def _text(cx: float, cy: float, label: str, color: str) -> str:
+    size = 0.45 * UNIT_HEIGHT
     label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return (
         f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" '

@@ -75,7 +75,9 @@ def report(
     traces = group_by_case(log)
     preprocessing = time.perf_counter() - t0 + extra_preprocessing_seconds
 
+    t0 = time.perf_counter()
     table = variants_of_traces(traces)
+    cutting = time.perf_counter() - t0
     classic = classic_of_traces(traces)
 
     total = time.perf_counter() - started + extra_preprocessing_seconds
@@ -91,7 +93,7 @@ def report(
         fallback_variant_pct=(100.0 * fallback_count / interval_count)
         if interval_count
         else 0.0,
-        timings=PhaseTimings(preprocessing, 0.0, table.cutting, total),
+        timings=PhaseTimings(preprocessing, 0.0, cutting, total),
     )
 
 

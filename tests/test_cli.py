@@ -15,6 +15,9 @@ import variantview
 from conftest import DATA
 from variantview import cli
 from variantview.cli import main
+from variantview.ingest import parse_csv
+from variantview.layout import variant_table
+from variantview.render import render_svg
 
 
 def run(capsys, *argv):
@@ -173,6 +176,16 @@ class TestRenderCommand:
         )
         assert code == 3
 
+    def test_seed_picks_the_svg_palette(self, capsys):
+        source = ("render", "--input", str(DATA / "worked_example.csv"), "--case", "1")
+        layout = variant_table(parse_csv(DATA / "worked_example.csv")).find_case("1")[1].layout
+        code, seeded, _ = run(capsys, *source, "--seed", "3")
+        assert code == 0
+        assert seeded == render_svg(layout, palette_seed=3)
+        _, unseeded, _ = run(capsys, *source, "--seed", "0")
+        assert unseeded == render_svg(layout)
+        assert seeded != unseeded
+
     def test_byte_identical_runs(self, capsys):
         args = ("render", "--input", str(DATA / "worked_example.csv"), "--case", "1")
         _, first, _ = run(capsys, *args)
@@ -325,9 +338,14 @@ class TestErrorsAndConfig:
         assert json.loads(out)["num_variants"] == 2
 
     def test_bad_vw_threads_env(self, capsys, monkeypatch):
+        # VW_THREADS is not read: a bad value neither fails nor changes a byte.
+        args = ("variants", "--input", str(DATA / "worked_example.csv"))
+        _, plain, _ = run(capsys, *args)
         monkeypatch.setenv("VW_THREADS", "lots")
-        code, _, err = run(capsys, "variants", "--input", str(DATA / "worked_example.csv"))
-        assert code == 2
+        code, out, err = run(capsys, *args)
+        assert code == 0
+        assert out == plain
+        assert err == ""
 
     def test_bad_generate_key(self, capsys):
         code, _, err = run(capsys, "variants", "--generate", "bogus=1")

@@ -118,6 +118,12 @@ class TestCanonicalForm:
     def test_fallback_key_sorts_labels(self):
         assert canonical_form(Fallback(("b", "a", "a"))) == "u{a,a,b}"
 
+    def test_fallback_sorts_labels_when_built(self):
+        fall = Fallback(("b", "a", "c", "a"))
+        assert fall.labels == ("a", "a", "b", "c")
+        assert Fallback(("b", "a")) == Fallback(("a", "b"))
+        assert hash(Fallback(("b", "a"))) == hash(Fallback(("a", "b")))
+
     def test_structural_characters_escaped(self):
         tricky = Parallel((Leaf("s(x,y)"), Leaf("u{z}")))
         key = canonical_form(tricky)

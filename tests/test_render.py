@@ -6,16 +6,9 @@ import hashlib
 import random
 import xml.etree.ElementTree as ET
 
-import pytest
-
 from conftest import random_trace
 from variantview.layout import Fallback, Leaf, Parallel, Sequence, layout_trace
-from variantview.render import (
-    RenderConfig,
-    label_color,
-    render_svg,
-    render_text,
-)
+from variantview.render import label_color, render_svg, render_text
 
 
 def parse_render_text(text: str):
@@ -193,9 +186,3 @@ class TestColors:
             label_color(f"act{i}", 0) != label_color(f"act{i}", 1) for i in range(64)
         )
         assert moved > 0
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            RenderConfig(unit_height=0)
-        with pytest.raises(ValueError):
-            RenderConfig(padding=-1)
