@@ -5,14 +5,7 @@ recursively decomposes them with maximal ordering and parallel cuts, and
 renders the resulting nested-chevron layouts.
 """
 
-from .cuts import (
-    CutKind,
-    CutResult,
-    brute_force_ordering_cut,
-    find_cut,
-    maximal_ordering_cut,
-    maximal_parallel_cut,
-)
+from .cuts import CutKind, CutResult, find_cut
 from .ingest import (
     ActivityInstance,
     ColumnMap,
@@ -83,7 +76,6 @@ __all__ = [
     "VariantEntry",
     "VariantTable",
     "Violation",
-    "brute_force_ordering_cut",
     "build_interval_order",
     "build_layout",
     "canonical_form",
@@ -95,8 +87,6 @@ __all__ = [
     "label_color",
     "layout_from_json",
     "layout_to_json",
-    "maximal_ordering_cut",
-    "maximal_parallel_cut",
     "pair_events",
     "parse_csv",
     "parse_xes",

@@ -42,6 +42,8 @@ def _check_args(args: argparse.Namespace) -> None:
     # --threads has no effect but is still validated.
     if args.threads < 1:
         raise InputError(f"--threads must be >= 1, got {args.threads}")
+    if getattr(args, "repeat", 1) < 1:
+        raise InputError(f"--repeat must be >= 1, got {args.repeat}")
 
     if args.generate is not None:
         args.generate = _parse_generate(args.generate, args.seed)
@@ -114,10 +116,10 @@ def _load_log(args: argparse.Namespace) -> tuple[EventLog, float]:
         return generate_log(args.generate), 0.0
     fmt = _detect_format(args.input, args.format)
     t0 = time.perf_counter()
-    if fmt == "xes":
-        log = parse_xes(args.input)
-    else:
-        log = parse_csv(args.input, args.columns)
+    try:
+        log = parse_xes(args.input) if fmt == "xes" else parse_csv(args.input, args.columns)
+    except OSError as exc:  # a directory, a vanished file, no permission
+        raise InputError(f"cannot read {args.input}: {exc.strerror or exc}")
     return log, time.perf_counter() - t0
 
 
@@ -147,7 +149,10 @@ def _open_output(args: argparse.Namespace):
     """The ``--output`` file opened for writing, or stdout (left open)."""
     if args.output is None:
         return contextlib.nullcontext(sys.stdout)
-    return args.output.open("w", encoding="utf-8")
+    try:
+        return args.output.open("w", encoding="utf-8")
+    except OSError as exc:  # a directory, or a parent that does not exist
+        raise InputError(f"cannot write {args.output}: {exc.strerror or exc}")
 
 
 def _write_output(args: argparse.Namespace, text: str) -> None:

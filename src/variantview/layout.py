@@ -22,23 +22,41 @@ from .ingest import EventLog, Trace, group_by_case
 from .order import IntervalOrder
 
 
-@dataclass(frozen=True, slots=True)
-class Leaf:
+class _Node:
+    """Structural ``==``, ``hash`` and ``repr`` for the four node kinds. They go
+    through :func:`fold`, so unlike the dataclass methods they work at any depth."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, _Node):
+            return NotImplemented
+        return layout_json_text(self) == layout_json_text(other)
+
+    def __hash__(self):
+        return hash(layout_json_text(self))
+
+    def __repr__(self):
+        return fold(self, _repr)
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Leaf(_Node):
     label: str
 
 
-@dataclass(frozen=True, slots=True)
-class Sequence:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Sequence(_Node):
     children: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class Parallel:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Parallel(_Node):
     children: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class Fallback:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Fallback(_Node):
     labels: tuple  # label multiset, sorted here once so no reader sorts it
 
     def __post_init__(self) -> None:
@@ -142,19 +160,18 @@ def canonical_form(tree: LayoutTree) -> str:
     return fold(tree, _key)
 
 
+def _repr(node: LayoutTree, kids: list[str]) -> str:
+    """The text a dataclass-generated repr gives for the node."""
+    if isinstance(node, Leaf):
+        return f"Leaf(label={node.label!r})"
+    if isinstance(node, Fallback):
+        return f"Fallback(labels={node.labels!r})"
+    inner = ", ".join(kids) + ("," if len(kids) == 1 else "")
+    return f"{type(node).__name__}(children=({inner}))"
+
+
 def has_fallback(tree: LayoutTree) -> bool:
     return fold(tree, lambda node, kids: isinstance(node, Fallback) or any(kids))
-
-
-def _labels(node: LayoutTree, kids: list[list[str]]) -> list[str]:
-    if isinstance(node, Leaf):
-        return [node.label]
-    return list(node.labels) if isinstance(node, Fallback) else [l for k in kids for l in k]
-
-
-def tree_labels(tree: LayoutTree) -> list[str]:
-    """The label multiset of a tree (order unspecified)."""
-    return fold(tree, _labels)
 
 
 def _json_node(node: LayoutTree, kids: list[dict]) -> dict:

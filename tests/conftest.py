@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from variantview.cuts import CutKind, find_cut
+from variantview.cuts import CutKind, CutResult, find_cut
 from variantview.ingest import (
     ActivityInstance,
     ColumnMap,
@@ -40,6 +40,7 @@ from variantview.layout import (
     VariantTable,
     build_layout,
     canonical_form,
+    fold,
     layout_json_text,
 )
 from variantview.order import IntervalOrder, build_interval_order, induced_suborder
@@ -211,6 +212,74 @@ def reference_layout(order: IntervalOrder):
         return Fallback(tuple(sorted(v.label for v in order.vertices)))
     node = Sequence if cut.kind is CutKind.ORDERING else Parallel
     return node(tuple(reference_layout(induced_suborder(order, g)) for g in cut.groups))
+
+
+def as_cut(kind: CutKind, blocks) -> CutResult:
+    """A kernel's block list as a ``CutResult`` of vertex-id sets in block
+    order; fewer than two blocks is no cut."""
+    if len(blocks) < 2:
+        return CutResult(CutKind.NONE, ())
+    return CutResult(kind, tuple(frozenset(v.id for v in b) for b in blocks))
+
+
+MAX_ORACLE_VERTICES = 16
+
+
+def brute_force_ordering_cut(order: IntervalOrder) -> CutResult:
+    """Ordering-cut oracle by direct enumeration of all vertex subsets.
+
+    A subset P is a prefix of an ordering cut iff every pair (p in P,
+    s outside P) is an edge; the prefixes form a chain under inclusion and
+    their consecutive differences are the maximal blocks. Works on the edge
+    set only; limited to 16 vertices.
+    """
+    verts = order.vertices
+    n = len(verts)
+    if n > MAX_ORACLE_VERTICES:
+        raise ValueError(f"oracle limited to {MAX_ORACLE_VERTICES} vertices, got {n}")
+    if n == 1:
+        return CutResult(CutKind.NONE, ())
+    index = {v.id: i for i, v in enumerate(verts)}
+    succ = [0] * n
+    for a, b in order.edges:
+        succ[index[a]] |= 1 << index[b]
+    full = (1 << n) - 1
+
+    # P qualifies iff union of non-successors over its members stays inside P.
+    # required[m] is that union for the subset with bit mask m.
+    required = [0]
+    for b in range(n):
+        non_succ_b = full & ~succ[b]
+        required += [r | non_succ_b for r in required]
+    prefixes = [m for m in range(1, full) if not required[m] & ~m]
+    prefixes.sort(key=lambda m: (bin(m).count("1"), m))
+
+    block_masks = []
+    prev = 0
+    for mask in prefixes:
+        if prev & ~mask:
+            raise ValueError("prefix sets are not a chain: not a valid interval order")
+        block_masks.append(mask & ~prev)
+        prev = mask
+    block_masks.append(full & ~prev)
+    if len(block_masks) < 2:
+        return CutResult(CutKind.NONE, ())
+    groups = tuple(
+        frozenset(verts[i].id for i in range(n) if mask >> i & 1)
+        for mask in block_masks
+    )
+    return CutResult(CutKind.ORDERING, groups)
+
+
+def _labels(node, kids: list[list[str]]) -> list[str]:
+    if isinstance(node, Leaf):
+        return [node.label]
+    return list(node.labels) if isinstance(node, Fallback) else [l for k in kids for l in k]
+
+
+def tree_labels(tree) -> list[str]:
+    """The label multiset of a tree (order unspecified)."""
+    return fold(tree, _labels)
 
 
 # Reference pipeline: the order-based one the per-trace loop replaced. It

@@ -312,6 +312,34 @@ class TestErrorsAndConfig:
         assert code == 2
         assert "--format" in err
 
+    def test_input_directory_exit_2(self, capsys):
+        code, out, err = run(capsys, "variants", "--input", str(DATA), "--format", "csv")
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read {DATA}: Is a directory\n"
+
+    def test_output_in_missing_directory_exit_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, _, err = run(
+            capsys, "variants", "--input", str(DATA / "worked_example.csv"), "--output", str(target)
+        )
+        assert code == 2
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+
+    def test_output_directory_exit_2(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "variants", "--input", str(DATA / "worked_example.csv"), "--output", str(tmp_path)
+        )
+        assert code == 2
+        assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("repeat", ["0", "-2"])
+    def test_bench_repeat_below_one_exit_2(self, capsys, repeat):
+        code, out, err = run(
+            capsys, "bench", "--input", str(DATA / "worked_example.csv"), "--repeat", repeat
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --repeat must be >= 1, got {repeat}\n"
+
     def test_input_and_generate_conflict(self, capsys):
         code, _, err = run(
             capsys,

@@ -1,4 +1,5 @@
-"""Cut detection: sweeps against the enumeration oracle and reachability."""
+"""Cut detection: the kernels and ``find_cut`` against the enumeration oracle
+and reachability."""
 
 from __future__ import annotations
 
@@ -6,14 +7,16 @@ import random
 
 import pytest
 
-from conftest import bfs_components, make_trace, random_trace
-from variantview.cuts import (
-    CutKind,
+import variantview
+
+from conftest import (
+    as_cut,
+    bfs_components,
     brute_force_ordering_cut,
-    find_cut,
-    maximal_ordering_cut,
-    maximal_parallel_cut,
+    make_trace,
+    random_trace,
 )
+from variantview.cuts import CutKind, CutResult, find_cut, ordering_blocks, parallel_blocks
 from variantview.ingest import Trace
 from variantview.order import build_interval_order, induced_suborder
 
@@ -26,7 +29,7 @@ def _labels(order, groups):
 class TestMaximalOrderingCut:
     def test_worked_example_three_blocks(self, worked_case):
         order = build_interval_order(worked_case)
-        cut = maximal_ordering_cut(order)
+        cut = as_cut(CutKind.ORDERING, ordering_blocks(order.vertices))
         assert cut.kind is CutKind.ORDERING
         assert _labels(order, cut.groups) == [
             ["A", "B", "C", "D", "E"],
@@ -36,21 +39,22 @@ class TestMaximalOrderingCut:
 
     def test_two_overlapping_instances(self):
         order = build_interval_order(make_trace([("A", 0, 10), ("B", 5, 15)]))
-        assert maximal_ordering_cut(order).kind is CutKind.NONE
+        assert len(ordering_blocks(order.vertices)) == 1
 
     def test_matches_oracle_on_randoms(self):
         rng = random.Random(21)
         for _ in range(300):
             order = build_interval_order(random_trace(rng, max_size=10))
-            assert maximal_ordering_cut(order) == brute_force_ordering_cut(order)
+            cut = as_cut(CutKind.ORDERING, ordering_blocks(order.vertices))
+            assert cut == brute_force_ordering_cut(order)
 
 
 class TestMaximalParallelCut:
     def test_components_of_first_block(self, worked_case):
         order = build_interval_order(worked_case)
-        first_block = maximal_ordering_cut(order).groups[0]
-        sub = induced_suborder(order, first_block)
-        cut = maximal_parallel_cut(sub)
+        first_block = ordering_blocks(order.vertices)[0]
+        sub = induced_suborder(order, {v.id for v in first_block})
+        cut = as_cut(CutKind.PARALLEL, parallel_blocks(sub.vertices))
         assert cut.kind is CutKind.PARALLEL
         assert _labels(sub, cut.groups) == [["A", "B", "D", "E"], ["C"]]
 
@@ -58,13 +62,13 @@ class TestMaximalParallelCut:
         order = build_interval_order(
             make_trace([("a", 0, 1), ("b", 2, 3), ("c", 4, 5)])
         )
-        assert maximal_parallel_cut(order).kind is CutKind.NONE
+        assert len(parallel_blocks(order.vertices)) == 1
 
     def test_matches_reachability_on_randoms(self):
         rng = random.Random(22)
         for _ in range(300):
             order = build_interval_order(random_trace(rng, max_size=10))
-            cut = maximal_parallel_cut(order)
+            cut = as_cut(CutKind.PARALLEL, parallel_blocks(order.vertices))
             expected = bfs_components(order)
             if len(expected) < 2:
                 assert cut.kind is CutKind.NONE
@@ -75,7 +79,7 @@ class TestMaximalParallelCut:
         order = build_interval_order(
             make_trace([("late", 50, 60), ("early", 0, 100), ("mid", 20, 30)])
         )
-        cut = maximal_parallel_cut(order)
+        cut = as_cut(CutKind.PARALLEL, parallel_blocks(order.vertices))
         assert cut.kind is CutKind.PARALLEL
         starts = [
             min(v.start_ts for v in order.vertices if v.id in g) for g in cut.groups
@@ -95,6 +99,25 @@ class TestFindCut:
     def test_single_vertex(self):
         order = build_interval_order(make_trace([("A", 0, 1)]))
         assert find_cut(order).kind is CutKind.NONE
+
+    def test_equals_oracles_on_randoms(self):
+        rng = random.Random(27)
+        seen = set()
+        for _ in range(500):
+            order = build_interval_order(random_trace(rng, min_size=1, max_size=10))
+            cut = find_cut(order)
+            seen.add(cut.kind)
+            oracle = brute_force_ordering_cut(order)
+            components = bfs_components(order)
+            if oracle.kind is CutKind.ORDERING:
+                assert cut == oracle
+            elif len(components) >= 2:
+                assert cut.kind is CutKind.PARALLEL
+                assert set(cut.groups) == components
+                assert len(cut.groups) == len(components)
+            else:
+                assert cut == CutResult(CutKind.NONE, ())
+        assert seen == set(CutKind)
 
 
 class TestBruteForceOracle:
@@ -123,8 +146,8 @@ class TestCutLaws:
         rng = random.Random(23)
         for _ in range(500):
             order = build_interval_order(random_trace(rng))
-            ordering = maximal_ordering_cut(order).kind is CutKind.ORDERING
-            parallel = maximal_parallel_cut(order).kind is CutKind.PARALLEL
+            ordering = len(ordering_blocks(order.vertices)) > 1
+            parallel = len(parallel_blocks(order.vertices)) > 1
             assert not (ordering and parallel)
 
     def test_detectors_invariant_under_vertex_permutation(self):
@@ -142,7 +165,7 @@ class TestCutLaws:
         checked = 0
         while checked < 50:
             order = build_interval_order(random_trace(rng))
-            cut = maximal_ordering_cut(order)
+            cut = as_cut(CutKind.ORDERING, ordering_blocks(order.vertices))
             if cut.kind is not CutKind.ORDERING:
                 continue
             checked += 1
@@ -162,3 +185,24 @@ class TestCutLaws:
             assert len(cut.groups) >= 2
             ids = [i for g in cut.groups for i in g]
             assert len(ids) == len(set(ids)) == len(order.vertices)
+
+
+PUBLIC_NAMES = [
+    "ActivityInstance", "ColumnMap", "CutKind", "CutResult", "EventLog", "Fallback",
+    "GeneratorSpec", "IntervalOrder", "LayoutTree", "Leaf", "LogReport", "Parallel",
+    "ParseError", "PhaseTimings", "Sequence", "SourceMeta", "Trace", "VariantEntry",
+    "VariantTable", "Violation", "build_interval_order", "build_layout", "canonical_form",
+    "classic_variants", "find_cut", "generate_log", "group_by_case", "induced_suborder",
+    "label_color", "layout_from_json", "layout_to_json", "pair_events", "parse_csv",
+    "parse_xes", "render_svg", "render_text", "report", "report_to_json", "report_to_text",
+    "to_dot", "validate", "variant_table", "write_csv",
+]
+
+
+def test_public_names_are_pinned_and_resolve():
+    # The cut API is the two kernels plus find_cut; the oracle lives in the tests.
+    assert variantview.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(variantview, name) is not None
+    for gone in ("maximal_ordering_cut", "maximal_parallel_cut", "brute_force_ordering_cut"):
+        assert not hasattr(variantview, gone)

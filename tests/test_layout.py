@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 import variantview
 
-from conftest import DATA, make_trace, nested_trace, random_trace
+from conftest import DATA, make_trace, nested_trace, random_trace, tree_labels
 from variantview.cli import main
 from variantview.ingest import EventLog, Trace, parse_csv, write_csv
 from variantview.layout import (
@@ -27,7 +28,6 @@ from variantview.layout import (
     layout_json_text,
     layout_to_json,
     layout_trace,
-    tree_labels,
     variant_table,
 )
 from variantview.order import build_interval_order
@@ -301,6 +301,67 @@ def test_deeply_nested_trace_is_written_rendered_and_round_tripped(tmp_path, cap
     assert svg.startswith("<?xml") and svg.endswith("</svg>\n")
     assert svg.count('<g class="leaf">') == 1201
     assert svg.count('<g class="par">') == 600 and svg.count('<g class="seq">') == 600
+
+
+def test_deeply_nested_tree_compares_hashes_and_reprs():
+    # 600 levels: past the recursion limit that the dataclass methods hit.
+    tree = layout_trace(nested_trace(600))
+    twin = layout_trace(nested_trace(600))
+    assert tree is not twin and tree == twin and hash(tree) == hash(twin)
+    assert {tree: "deep"}[twin] == "deep"
+    assert tree != layout_trace(nested_trace(599))
+    text = repr(tree)
+    assert text.startswith("Parallel(children=(Sequence(children=(Parallel(")
+    assert text.count("Leaf(label=") == 1201
+    assert text.endswith("Leaf(label='Y599')))")
+
+
+# Twins of the node classes with the recursive methods a plain frozen
+# dataclass generates: the reference for the nodes' fold-based methods.
+_DATACLASS_TWINS = {
+    Leaf: dataclasses.make_dataclass("Leaf", [("label", str)], frozen=True),
+    Sequence: dataclasses.make_dataclass("Sequence", [("children", tuple)], frozen=True),
+    Parallel: dataclasses.make_dataclass("Parallel", [("children", tuple)], frozen=True),
+    Fallback: dataclasses.make_dataclass("Fallback", [("labels", tuple)], frozen=True),
+}
+
+
+def _rebuild(node, classes=None):
+    """A copy of a layout tree, made of ``classes[type(node)]`` if given."""
+    cls = classes[type(node)] if classes else type(node)
+    if isinstance(node, (Sequence, Parallel)):
+        return cls(tuple(_rebuild(c, classes) for c in node.children))
+    return cls(node.label if isinstance(node, Leaf) else node.labels)
+
+
+def _random_tree(rng, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.35:
+        return Leaf(rng.choice(["a", "b", "c'", 'd"\\', "é\n"]))
+    if roll < 0.45:
+        return Fallback(tuple(rng.choice("ab'") for _ in range(rng.randint(1, 3))))
+    node = rng.choice([Sequence, Parallel])
+    return node(tuple(_random_tree(rng, depth - 1) for _ in range(rng.randint(1, 3))))
+
+
+def test_node_methods_agree_with_recursive_dataclass_methods():
+    rng = random.Random(24)
+    trees = [_random_tree(rng, rng.randint(0, 3)) for _ in range(300)]
+    twins = [_rebuild(t, _DATACLASS_TWINS) for t in trees]
+    equal_pairs = 0
+    for tree, twin in zip(trees, twins):
+        assert repr(tree) == repr(twin)
+        copy = _rebuild(tree)
+        assert tree == copy and hash(tree) == hash(copy)
+    for _ in range(3000):
+        i, j = rng.randrange(len(trees)), rng.randrange(len(trees))
+        same = twins[i] == twins[j]
+        assert (trees[i] == trees[j]) is same and (trees[i] != trees[j]) is not same
+        if same:
+            equal_pairs += 1
+            assert hash(trees[i]) == hash(trees[j])
+    assert equal_pairs > 100
+    assert Leaf("a") != "a" and Leaf("a") != Fallback(("a",))
 
 
 def test_no_function_in_the_package_calls_itself():

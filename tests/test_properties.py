@@ -8,15 +8,17 @@ import xml.etree.ElementTree as ET
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import bfs_components, brute_edges, make_trace, reference_layout
-from test_render import parse_render_text
-from variantview.cuts import (
-    CutKind,
+from conftest import (
+    as_cut,
+    bfs_components,
+    brute_edges,
     brute_force_ordering_cut,
-    find_cut,
-    maximal_ordering_cut,
-    maximal_parallel_cut,
+    make_trace,
+    reference_layout,
+    tree_labels,
 )
+from test_render import parse_render_text
+from variantview.cuts import CutKind, find_cut, ordering_blocks, parallel_blocks
 from variantview.ingest import (
     ActivityInstance,
     EventLog,
@@ -37,7 +39,6 @@ from variantview.layout import (
     layout_json_text,
     layout_to_json,
     layout_trace,
-    tree_labels,
     variant_table,
 )
 from variantview.order import build_interval_order, induced_suborder, validate
@@ -99,8 +100,7 @@ def test_restriction_commutes_with_construction(trace, data):
 def test_cuts_cannot_coexist(trace):
     order = build_interval_order(trace)
     assert not (
-        maximal_ordering_cut(order).kind is CutKind.ORDERING
-        and maximal_parallel_cut(order).kind is CutKind.PARALLEL
+        len(ordering_blocks(order.vertices)) > 1 and len(parallel_blocks(order.vertices)) > 1
     )
 
 
@@ -108,14 +108,15 @@ def test_cuts_cannot_coexist(trace):
 @PROPERTY_SETTINGS
 def test_sweep_equals_enumeration_oracle(trace):
     order = build_interval_order(trace)
-    assert maximal_ordering_cut(order) == brute_force_ordering_cut(order)
+    cut = as_cut(CutKind.ORDERING, ordering_blocks(order.vertices))
+    assert cut == brute_force_ordering_cut(order)
 
 
 @given(traces())
 @PROPERTY_SETTINGS
 def test_parallel_cut_equals_reachability(trace):
     order = build_interval_order(trace)
-    cut = maximal_parallel_cut(order)
+    cut = as_cut(CutKind.PARALLEL, parallel_blocks(order.vertices))
     components = bfs_components(order)
     if len(components) < 2:
         assert cut.kind is CutKind.NONE
@@ -153,7 +154,8 @@ def test_sweep_agrees_on_induced_suborders(trace):
     cut = find_cut(order)
     for group in cut.groups:
         sub = induced_suborder(order, group)
-        assert maximal_ordering_cut(sub) == brute_force_ordering_cut(sub)
+        cut = as_cut(CutKind.ORDERING, ordering_blocks(sub.vertices))
+        assert cut == brute_force_ordering_cut(sub)
 
 
 @given(traces(), st.integers(-10**9, 10**9))
