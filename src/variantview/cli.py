@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import statistics
 import sys
 import time
@@ -145,14 +146,34 @@ def _resolve_output_format(args: argparse.Namespace, default: str, allowed: set[
     return fmt
 
 
+@contextlib.contextmanager
 def _open_output(args: argparse.Namespace):
-    """The ``--output`` file opened for writing, or stdout (left open)."""
-    if args.output is None:
-        return contextlib.nullcontext(sys.stdout)
+    """The ``--output`` file opened for writing, or stdout (left open). An
+    OSError while opening, writing, flushing or closing it is an InputError."""
     try:
-        return args.output.open("w", encoding="utf-8")
-    except OSError as exc:  # a directory, or a parent that does not exist
-        raise InputError(f"cannot write {args.output}: {exc.strerror or exc}")
+        if args.output is None:
+            yield sys.stdout
+            sys.stdout.flush()
+        else:
+            with args.output.open("w", encoding="utf-8") as out:
+                yield out
+    except OSError as exc:  # a directory, a missing parent, a full disk
+        if args.output is None:
+            _discard_stdout()
+        name = args.output or "standard output"
+        raise InputError(f"cannot write {name}: {exc.strerror or exc}") from None
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so the flush at
+    interpreter exit drops what a failed write left buffered."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # captured, or closed
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def _write_output(args: argparse.Namespace, text: str) -> None:
@@ -243,15 +264,21 @@ def cmd_check(args, log: EventLog, parse_seconds: float) -> int:
 
 
 def cmd_bench(args, log: EventLog, parse_seconds: float) -> int:
-    parsing, runs = [], []
+    # The variants to draw come from one table, built outside the timings.
+    layouts = [entry.layout for _, entry in variant_table(log).sorted_items()]
+    parsing, runs, rendering = [], [], []
     for _ in range(args.repeat):
         if args.input is not None:  # re-read the file, so parsing is timed too
             log, parse_seconds = _load_log(args)
         parsing.append(parse_seconds)
         runs.append(report(log).timings)
+        t0 = time.perf_counter()
+        for layout in layouts:
+            render_svg(layout, palette_seed=args.seed)
+        rendering.append(time.perf_counter() - t0)
     phases = {"parsing": parsing} | {
         f.name: [getattr(r, f.name) for r in runs] for f in fields(PhaseTimings)
-    }
+    } | {"rendering": rendering}
     fmt = _resolve_output_format(args, default="text", allowed={"json", "text"})
     if fmt == "json":
         payload = {

@@ -9,7 +9,7 @@ labels. Chevron width is constant per leaf; it encodes order, not duration.
 from __future__ import annotations
 
 import hashlib
-from functools import partial
+from functools import lru_cache, partial
 
 from .layout import Fallback, LayoutTree, Leaf, Sequence, escape_label, fold
 
@@ -45,6 +45,31 @@ def _text_color(fill: str) -> str:
     return "#1a1a1a" if 0.299 * r + 0.587 * g + 0.114 * b > 150 else "#ffffff"
 
 
+# SVG text escapes the three markup characters, and replaces each character
+# XML 1.0 forbids (C0 controls but tab, LF and CR; U+FFFE; U+FFFF) with U+FFFD.
+_SVG_TEXT = str.maketrans(
+    {c: "\ufffd" for c in (*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF)}
+    | {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
+)
+
+
+def _text_tail(label: str, color: str) -> str:
+    """A ``<text>`` element after its coordinates: the constant attributes,
+    the font size, the text color and the escaped label."""
+    return (
+        'text-anchor="middle" dominant-baseline="central" font-family="sans-serif" '
+        f'font-size="{0.45 * UNIT_HEIGHT:.2f}" fill="{color}">'
+        f"{label.translate(_SVG_TEXT)}</text>\n"
+    )
+
+
+@lru_cache(maxsize=4096)
+def _leaf_style(label: str, palette_seed: int) -> tuple[str, str]:
+    """What a leaf draws the same way every time: its fill and its text tail."""
+    fill = label_color(label, palette_seed)
+    return fill, _text_tail(label, _text_color(fill))
+
+
 def _text_node(node: LayoutTree, parts: list[str]) -> str:
     if isinstance(node, Leaf):
         return escape_label(node.label)
@@ -68,14 +93,10 @@ def render_svg(tree: LayoutTree, palette_seed: int = 0) -> str:
     head = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(total_w)}" height="{_fmt(total_h)}" '
-        f'viewBox="0 0 {_fmt(total_w)} {_fmt(total_h)}">\n'
+        f'width="{total_w:.2f}" height="{total_h:.2f}" '
+        f'viewBox="0 0 {total_w:.2f} {total_h:.2f}">\n'
     )
     return head + "".join(parts) + "</svg>\n"
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
 
 
 def _measure(sizes: dict, node: LayoutTree, child_sizes: list) -> tuple:
@@ -111,11 +132,11 @@ def _draw(root: tuple, palette_seed: int, sizes: dict) -> list[str]:
             continue
         node, x, y, w, h, depth = item
         if isinstance(node, Leaf):
-            fill = label_color(node.label, palette_seed)
-            out.append('<g class="leaf">')
-            out.append(_chevron(x, y, w, h, fill))
-            out.append(_text(x + w / 2, y + h / 2, node.label, _text_color(fill)))
-            out.append("</g>\n")
+            fill, tail = _leaf_style(node.label, palette_seed)
+            out.append(
+                f'<g class="leaf">{_chevron(x, y, w, h, fill)}'
+                f"{_text(x + w / 2, y + h / 2, tail)}</g>\n"
+            )
             continue
         if isinstance(node, Fallback):
             fill = _CONTAINER_FILLS[depth % len(_CONTAINER_FILLS)]
@@ -123,7 +144,8 @@ def _draw(root: tuple, palette_seed: int, sizes: dict) -> list[str]:
             out.append(_chevron(x, y, w, h, fill))
             line_h = h / len(node.labels)
             for i, label in enumerate(node.labels):
-                out.append(_text(x + w / 2, y + line_h * (i + 0.5), label, "#1a1a1a"))
+                tail = _text_tail(label, "#1a1a1a")
+                out.append(_text(x + w / 2, y + line_h * (i + 0.5), tail))
             out.append("</g>\n")
             continue
         child_sizes = [sizes[id(c)] for c in node.children]
@@ -159,28 +181,15 @@ def _draw(root: tuple, palette_seed: int, sizes: dict) -> list[str]:
 
 def _chevron(x: float, y: float, w: float, h: float, fill: str) -> str:
     notch = min(NOTCH, w / 2)
-    points = " ".join(
-        f"{_fmt(px)},{_fmt(py)}"
-        for px, py in (
-            (x, y),
-            (x + w - notch, y),
-            (x + w, y + h / 2),
-            (x + w - notch, y + h),
-            (x, y + h),
-            (x + notch, y + h / 2),
-        )
-    )
+    # Each coordinate that appears twice is formatted once.
+    left, top, bottom = f"{x:.2f}", f"{y:.2f}", f"{y + h:.2f}"
+    cut, mid = f"{x + w - notch:.2f}", f"{y + h / 2:.2f}"
     return (
-        f'<polygon points="{points}" fill="{fill}" '
+        f'<polygon points="{left},{top} {cut},{top} {x + w:.2f},{mid} {cut},{bottom} '
+        f'{left},{bottom} {x + notch:.2f},{mid}" fill="{fill}" '
         'stroke="#8c8c8c" stroke-width="0.75"/>\n'
     )
 
 
-def _text(cx: float, cy: float, label: str, color: str) -> str:
-    size = 0.45 * UNIT_HEIGHT
-    label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    return (
-        f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" '
-        f'dominant-baseline="central" font-family="sans-serif" '
-        f'font-size="{_fmt(size)}" fill="{color}">{label}</text>\n'
-    )
+def _text(cx: float, cy: float, tail: str) -> str:
+    return f'<text x="{cx:.2f}" y="{cy:.2f}" {tail}'

@@ -8,12 +8,14 @@ against and must not share logic with them.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import random
 import re
 import xml.etree.ElementTree as ET
 from collections import deque
 from datetime import datetime, timedelta, timezone
+from functools import partial
 from itertools import groupby
 from pathlib import Path
 
@@ -44,6 +46,7 @@ from variantview.layout import (
     layout_json_text,
 )
 from variantview.order import IntervalOrder, build_interval_order, induced_suborder
+from variantview.render import _CONTAINER_FILLS, _LEAF_WIDTH, NOTCH, PADDING, PALETTE, UNIT_HEIGHT
 
 DATA = Path(__file__).parent / "data"
 
@@ -332,6 +335,148 @@ def reference_variants_document(table: VariantTable) -> str:
         lambda m: m[1] + layouts[int(m[2])], json.dumps(payload, ensure_ascii=False, indent=2)
     )
     return text + "\n"
+
+
+# Reference SVG writer: the drawing code the one-string writers in
+# ``variantview.render`` replaced, verbatim but for the ``_ref_`` names. It
+# hashes and formats every leaf on every call. Shared with the package: the
+# geometry constants and the palette.
+
+
+def reference_render_svg(tree, palette_seed: int = 0) -> str:
+    """``render_svg`` as it was: each number formatted on its own, each leaf
+    hashed and escaped on every call."""
+    sizes: dict[int, tuple[float, float]] = {}
+    width, height = fold(tree, partial(_ref_measure, sizes))
+    parts = _ref_draw((tree, PADDING, PADDING, width, height, 0), palette_seed, sizes)
+    total_w, total_h = width + 2 * PADDING, height + 2 * PADDING
+    head = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{_ref_fmt(total_w)}" height="{_ref_fmt(total_h)}" '
+        f'viewBox="0 0 {_ref_fmt(total_w)} {_ref_fmt(total_h)}">\n'
+    )
+    return head + "".join(parts) + "</svg>\n"
+
+
+def _ref_label_color(label: str, palette_seed: int = 0) -> str:
+    digest = hashlib.blake2b(
+        f"{palette_seed}:{label}".encode("utf-8"), digest_size=8
+    ).digest()
+    return PALETTE[int.from_bytes(digest, "big") % len(PALETTE)]
+
+
+def _ref_text_color(fill: str) -> str:
+    r, g, b = (int(fill[i : i + 2], 16) for i in (1, 3, 5))
+    return "#1a1a1a" if 0.299 * r + 0.587 * g + 0.114 * b > 150 else "#ffffff"
+
+
+def _ref_fmt(x: float) -> str:
+    return f"{x:.2f}"
+
+
+def _ref_measure(sizes: dict, node, child_sizes: list) -> tuple:
+    if isinstance(node, Leaf):
+        size = (_LEAF_WIDTH, UNIT_HEIGHT)
+    elif isinstance(node, Fallback):
+        size = (_LEAF_WIDTH, UNIT_HEIGHT * len(node.labels))
+    elif isinstance(node, Sequence):
+        size = (
+            sum(w for w, _ in child_sizes) + PADDING * (len(child_sizes) - 1),
+            max(h for _, h in child_sizes),
+        )
+    else:
+        size = (
+            max(w for w, _ in child_sizes) + 2 * (NOTCH + PADDING),
+            sum(h for _, h in child_sizes) + PADDING * (len(child_sizes) + 1),
+        )
+    sizes[id(node)] = size
+    return size
+
+
+def _ref_draw(root: tuple, palette_seed: int, sizes: dict) -> list[str]:
+    out: list[str] = []
+    stack: list = [root]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, x, y, w, h, depth = item
+        if isinstance(node, Leaf):
+            fill = _ref_label_color(node.label, palette_seed)
+            out.append('<g class="leaf">')
+            out.append(_ref_chevron(x, y, w, h, fill))
+            out.append(_ref_text(x + w / 2, y + h / 2, node.label, _ref_text_color(fill)))
+            out.append("</g>\n")
+            continue
+        if isinstance(node, Fallback):
+            fill = _CONTAINER_FILLS[depth % len(_CONTAINER_FILLS)]
+            out.append('<g class="fallback">')
+            out.append(_ref_chevron(x, y, w, h, fill))
+            line_h = h / len(node.labels)
+            for i, label in enumerate(node.labels):
+                out.append(_ref_text(x + w / 2, y + line_h * (i + 0.5), label, "#1a1a1a"))
+            out.append("</g>\n")
+            continue
+        child_sizes = [sizes[id(c)] for c in node.children]
+        placed = []
+        if isinstance(node, Sequence):
+            out.append('<g class="seq">\n')
+            pool = sum(cw for cw, _ in child_sizes)
+            extra = max(0.0, w - (pool + PADDING * (len(child_sizes) - 1)))
+            cursor = x
+            for i, (child, (cw, _)) in enumerate(zip(node.children, child_sizes)):
+                cw_final = cw + extra * cw / pool
+                if i == len(child_sizes) - 1:
+                    cw_final = x + w - cursor  # close rounding drift exactly
+                placed.append((child, cursor, y, cw_final, h, depth))
+                cursor += cw_final + PADDING
+        else:
+            fill = _CONTAINER_FILLS[depth % len(_CONTAINER_FILLS)]
+            out.append('<g class="par">\n')
+            out.append(_ref_chevron(x, y, w, h, fill))
+            inner_x = x + NOTCH + PADDING
+            inner_w = w - 2 * (NOTCH + PADDING)
+            pool = sum(ch for _, ch in child_sizes)
+            extra = max(0.0, h - (pool + PADDING * (len(child_sizes) + 1)))
+            cursor = y + PADDING
+            for child, (_, ch) in zip(node.children, child_sizes):
+                ch_final = ch + extra * ch / pool
+                placed.append((child, inner_x, cursor, inner_w, ch_final, depth + 1))
+                cursor += ch_final + PADDING
+        stack.append("</g>\n")
+        stack.extend(reversed(placed))
+    return out
+
+
+def _ref_chevron(x: float, y: float, w: float, h: float, fill: str) -> str:
+    notch = min(NOTCH, w / 2)
+    points = " ".join(
+        f"{_ref_fmt(px)},{_ref_fmt(py)}"
+        for px, py in (
+            (x, y),
+            (x + w - notch, y),
+            (x + w, y + h / 2),
+            (x + w - notch, y + h),
+            (x, y + h),
+            (x + notch, y + h / 2),
+        )
+    )
+    return (
+        f'<polygon points="{points}" fill="{fill}" '
+        'stroke="#8c8c8c" stroke-width="0.75"/>\n'
+    )
+
+
+def _ref_text(cx: float, cy: float, label: str, color: str) -> str:
+    size = 0.45 * UNIT_HEIGHT
+    label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return (
+        f'<text x="{_ref_fmt(cx)}" y="{_ref_fmt(cy)}" text-anchor="middle" '
+        f'dominant-baseline="central" font-family="sans-serif" '
+        f'font-size="{_ref_fmt(size)}" fill="{color}">{label}</text>\n'
+    )
 
 
 # Reference parsers: the element-tree and DictReader readers the streaming

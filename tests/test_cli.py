@@ -257,7 +257,7 @@ class TestBenchCommand:
         )
         assert code == 0
         assert "benchmark: 2 runs" in out
-        for phase in ("preprocessing", "building_orders", "cutting", "total"):
+        for phase in ("preprocessing", "building_orders", "cutting", "total", "rendering"):
             assert phase in out
 
     def test_json_format(self, capsys):
@@ -271,9 +271,10 @@ class TestBenchCommand:
         doc = json.loads(out)
         assert doc["runs"] == 2
         assert list(doc["phases"]) == [
-            "parsing", "preprocessing", "building_orders", "cutting", "total"
+            "parsing", "preprocessing", "building_orders", "cutting", "total", "rendering"
         ]
         assert doc["phases"]["parsing"] == {"min": 0.0, "median": 0.0}
+        assert 0 < doc["phases"]["rendering"]["min"] <= doc["phases"]["rendering"]["median"]
 
     def test_input_times_parsing_on_every_run(self, capsys, monkeypatch):
         parses = []
@@ -290,6 +291,24 @@ class TestBenchCommand:
         parsing = json.loads(out)["phases"]["parsing"]
         assert 0 < parsing["min"] <= parsing["median"]
         assert len(parses) == 4  # the first read, then one per run
+
+    def test_rendering_draws_every_variant_at_the_seed(self, capsys, monkeypatch):
+        drawn = []
+        real = cli.render_svg
+        monkeypatch.setattr(
+            cli, "render_svg", lambda t, palette_seed: drawn.append((t, palette_seed)) or real(t)
+        )
+        code, _, _ = run(
+            capsys,
+            "bench",
+            "--input", str(DATA / "worked_example.csv"),
+            "--repeat", "2",
+            "--seed", "3",
+        )
+        assert code == 0
+        table = variant_table(parse_csv(DATA / "worked_example.csv"))
+        layouts = [entry.layout for _, entry in table.sorted_items()]
+        assert drawn == [(t, 3) for t in layouts] * 2
 
 
 class TestErrorsAndConfig:
@@ -421,6 +440,37 @@ class TestThreadsDeterminism:
         _, single, _ = run(capsys, "variants", "--generate", spec, "--threads", "1")
         _, multi, _ = run(capsys, "variants", "--generate", spec, "--threads", "8")
         assert single == multi
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize(
+    "argv, to_stdout",
+    [
+        (["variants", "--output", "/dev/full"], False),
+        (["variants"], True),
+        (["variants", "--output-format", "text"], True),
+        (["render", "--case", "1", "--output", "/dev/full"], False),
+        (["render", "--case", "1"], True),
+        (["stats"], True),
+    ],
+)
+def test_failed_write_exits_2_with_one_line(argv, to_stdout, unbuffered):
+    """A full disk, for the --output file and for stdout, buffered or not: one
+    error line, no traceback and no complaint at interpreter exit."""
+    src = str(Path(variantview.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "variantview.cli", *argv,
+             "--input", str(DATA / "worked_example.csv")],
+            env=env, stdout=full if to_stdout else subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True,
+        )
+    target = "standard output" if to_stdout else "/dev/full"
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == f"error: cannot write {target}: No space left on device\n"
 
 
 def test_cli_import_does_not_load_numpy():

@@ -5,8 +5,9 @@ from __future__ import annotations
 import io
 import json
 import xml.etree.ElementTree as ET
+from itertools import accumulate
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     as_cut,
@@ -35,6 +36,7 @@ from variantview.layout import (
     Sequence,
     build_layout,
     canonical_form,
+    fold,
     layout_from_json,
     layout_json_text,
     layout_to_json,
@@ -42,7 +44,7 @@ from variantview.layout import (
     variant_table,
 )
 from variantview.order import build_interval_order, induced_suborder, validate
-from variantview.render import render_svg, render_text
+from variantview.render import label_color, render_svg, render_text
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -172,6 +174,29 @@ def test_canonical_key_is_shift_invariant(trace, shift_minutes):
     assert canonical_form(layout_trace(trace)) == canonical_form(layout_trace(shifted))
 
 
+# A trace has at most 2 * 10 distinct timestamps; each remap draws a gap per
+# stamp, so its image is strictly increasing.
+_GAPS = st.lists(st.integers(1, 10**12), min_size=20, max_size=20)
+
+
+@given(traces(), _GAPS)
+@example(make_trace([("a", 0, 0), ("b", 0, 3), ("c", 3, 3), ("a", 3, 5), ("d", 5, 5)]), [1] * 20)
+@PROPERTY_SETTINGS
+def test_layout_and_key_are_rank_invariant(trace, gaps):
+    stamps = sorted({t for a in trace.instances for t in (a.start_ts, a.complete_ts)})
+    remap = dict(zip(stamps, accumulate(gaps)))
+    remapped = Trace(
+        trace.case_id,
+        tuple(
+            ActivityInstance(a.id, a.case_id, a.label, remap[a.start_ts], remap[a.complete_ts])
+            for a in trace.instances
+        ),
+    )
+    tree = layout_trace(trace)
+    assert layout_trace(remapped) == tree
+    assert canonical_form(layout_trace(remapped)) == canonical_form(tree)
+
+
 def _rename_tree(tree, phi):
     if isinstance(tree, Leaf):
         return Leaf(phi[tree.label])
@@ -244,6 +269,39 @@ def test_layout_shape_respects_maximality(trace):
 @PROPERTY_SETTINGS
 def test_svg_is_well_formed(trace):
     ET.fromstring(render_svg(layout_trace(trace)))
+
+
+_ANY_LABEL_TREES = st.recursive(
+    st.builds(Leaf, st.text())
+    | st.lists(st.text(), min_size=2, max_size=4).map(lambda ls: Fallback(tuple(sorted(ls)))),
+    lambda kids: st.lists(kids, min_size=2, max_size=3).flatmap(
+        lambda cs: st.sampled_from((Sequence(tuple(cs)), Parallel(tuple(cs))))
+    ),
+    max_leaves=10,
+)
+# What an XML parser reads back from an SVG text: forbidden characters are
+# U+FFFD, and line ends are normalized to LF.
+_XML_READ = str.maketrans(
+    {c: "\ufffd" for c in (*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF)}
+)
+
+
+def _leaves(node, kids: list[list[str]]) -> list[str]:
+    return [node.label] if isinstance(node, Leaf) else [l for k in kids for l in k]
+
+
+@given(_ANY_LABEL_TREES, st.sampled_from((0, 3, 7)))
+@PROPERTY_SETTINGS
+def test_svg_parses_for_any_labels(tree, seed):
+    root = ET.fromstring(render_svg(tree, seed))
+    ns = "{http://www.w3.org/2000/svg}"
+    leaves = [g for g in root.iter(f"{ns}g") if g.get("class") == "leaf"]
+    labels = fold(tree, _leaves)
+    assert len(leaves) == len(labels)
+    for g, label in zip(leaves, labels):
+        read = label.translate(_XML_READ).replace("\r\n", "\n").replace("\r", "\n")
+        assert (g.find(f"{ns}text").text or "") == read
+        assert g.find(f"{ns}polygon").get("fill") == label_color(label, seed)
 
 
 @st.composite

@@ -6,9 +6,17 @@ import hashlib
 import random
 import xml.etree.ElementTree as ET
 
-from conftest import random_trace
-from variantview.layout import Fallback, Leaf, Parallel, Sequence, layout_trace
-from variantview.render import label_color, render_svg, render_text
+from conftest import nested_trace, random_trace, reference_render_svg
+from variantview.layout import (
+    Fallback,
+    Leaf,
+    Parallel,
+    Sequence,
+    canonical_form,
+    layout_json_text,
+    layout_trace,
+)
+from variantview.render import _leaf_style, label_color, render_svg, render_text
 
 
 def parse_render_text(text: str):
@@ -174,6 +182,78 @@ class TestRenderSvg:
         assert hashlib.sha256(svg).hexdigest() == (
             "c1ff881f5b01579a4ca9fa20bfa689fbe537fc1f6c364e9faa432db983a1557d"
         )
+
+
+# Labels that need escaping somewhere (XML, keys, the text notation), or are
+# not ASCII.
+_LABELS = (
+    "A", "B", "R&D <review>", "Check, approve", "a&b", "<x>", 'say "hi"', "it's",
+    "back\\slash", "(p)", "{q}", "a,b", "é", "Übergabe", "日本語", "😀",
+)
+
+
+def random_layout(rng: random.Random, depth: int = 0):
+    """A random tree of every node kind, on hostile and non-ASCII labels."""
+    r = rng.random()
+    if depth >= 4 or r < 0.35:
+        return Leaf(rng.choice(_LABELS))
+    if r < 0.5:
+        return Fallback(tuple(sorted(rng.choice(_LABELS) for _ in range(rng.randint(2, 5)))))
+    kind = rng.choice((Sequence, Parallel))
+    return kind(tuple(random_layout(rng, depth + 1) for _ in range(rng.randint(2, 4))))
+
+
+class TestAgainstReference:
+    """The one-string writers and the style cache give the reference's bytes."""
+
+    # Seeds rotate from tree to tree, so a style cached under one seed is
+    # asked for under another next.
+    SEEDS = (0, 3, 7)
+
+    def _seeds(self, i: int) -> tuple[int, ...]:
+        return self.SEEDS[i % 3 :] + self.SEEDS[: i % 3]
+
+    def test_random_layouts(self):
+        rng = random.Random(44)
+        for i in range(300):
+            tree = random_layout(rng)
+            for seed in self._seeds(i):
+                assert render_svg(tree, seed) == reference_render_svg(tree, seed)
+
+    def test_random_traces(self):
+        rng = random.Random(45)
+        for i in range(200):
+            tree = layout_trace(random_trace(rng))
+            for seed in self._seeds(i):
+                assert render_svg(tree, seed) == reference_render_svg(tree, seed)
+
+    def test_deep_nesting(self):
+        tree = layout_trace(nested_trace(600))
+        for seed in self.SEEDS:
+            assert render_svg(tree, seed) == reference_render_svg(tree, seed)
+
+    def test_style_cache_is_bounded(self):
+        assert _leaf_style.cache_info().maxsize is not None
+
+
+class TestForbiddenCharacters:
+    def test_control_character_becomes_replacement_character(self):
+        tree = Sequence((Leaf("a\x01b"), Leaf("b")))
+        texts = [t.text for t in _svg_root(render_svg(tree)).iter(f"{SVG_NS}text")]
+        assert texts == ["a\ufffdb", "b"]
+
+    def test_fallback_labels_too(self):
+        tree = Fallback(("x\x00", "y\ufffe", "z\uffff"))
+        texts = [t.text for t in _svg_root(render_svg(tree)).iter(f"{SVG_NS}text")]
+        assert texts == ["x\ufffd", "y\ufffd", "z\ufffd"]
+
+    def test_only_svg_text_changes(self):
+        tree = Sequence((Leaf("a\x01b"), Fallback(("c\x1f", "d"))))
+        assert render_text(tree) == "seq(a\x01b,unordered{c\x1f,d})"
+        assert "a\x01b" in canonical_form(tree)
+        assert "a\\u0001b" in layout_json_text(tree)
+        leaf = _svg_root(render_svg(tree, 3)).find(f"{SVG_NS}g/{SVG_NS}g/{SVG_NS}polygon")
+        assert leaf.attrib["fill"] == label_color("a\x01b", 3)
 
 
 class TestColors:
