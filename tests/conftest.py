@@ -15,7 +15,7 @@ import re
 import xml.etree.ElementTree as ET
 from collections import deque
 from datetime import datetime, timedelta, timezone
-from functools import partial
+from functools import cmp_to_key, partial
 from itertools import groupby
 from pathlib import Path
 
@@ -272,6 +272,62 @@ def brute_force_ordering_cut(order: IntervalOrder) -> CutResult:
         for mask in block_masks
     )
     return CutResult(CutKind.ORDERING, groups)
+
+
+MAX_DECOMPOSITION_VERTICES = 8
+
+
+def decomposition_layout(trace: Trace):
+    """The layout read off the modular decomposition of the comparability
+    graph G (u and v adjacent iff one precedes the other), with every prime
+    node and its subtree collapsed to a ``Fallback`` of the labels beneath it
+    (Gallai 1967; Habib & Paul, *Computer Science Review* 2010).
+
+    Works on ``brute_edges`` and the trace's instance order only, with no
+    timestamps and no kernels: it enumerates all vertex subsets for the
+    modules, so it is limited to 8 vertices. The strong modules (those that
+    overlap no other module) form the tree by inclusion. A node is parallel
+    when no two of its children are adjacent, series when all are, and prime
+    otherwise. Series children follow the direction of their edges, parallel
+    children the position of their first member in the trace.
+    """
+    verts = trace.instances
+    n = len(verts)
+    if n > MAX_DECOMPOSITION_VERTICES:
+        raise ValueError(f"oracle limited to {MAX_DECOMPOSITION_VERTICES} vertices, got {n}")
+    index = {v.id: i for i, v in enumerate(verts)}
+    succ = [0] * n
+    adj = [0] * n
+    for a, b in brute_edges(verts):
+        succ[index[a]] |= 1 << index[b]
+        adj[index[a]] |= 1 << index[b]
+        adj[index[b]] |= 1 << index[a]
+    full = (1 << n) - 1
+    modules = [
+        m
+        for m in range(1, full + 1)
+        if all(adj[v] & m in (0, m) for v in range(n) if not m >> v & 1)
+    ]
+    strong = [m for m in modules if not any(m & o and m & ~o and o & ~m for o in modules)]
+
+    def rep(m):
+        return (m & -m).bit_length() - 1  # the member that comes first in the trace
+
+    def build(m):
+        if m & (m - 1) == 0:
+            return Leaf(verts[rep(m)].label)
+        inside = [s for s in strong if s != m and s & ~m == 0]
+        kids = [s for s in inside if not any(s != t and s & ~t == 0 for t in inside)]
+        links = sum(bool(adj[rep(a)] & b) for a in kids for b in kids if a != b)
+        if links == 0:
+            kids.sort(key=rep)
+            return Parallel(tuple(build(k) for k in kids))
+        if links == len(kids) * (len(kids) - 1):
+            kids.sort(key=cmp_to_key(lambda a, b: -1 if succ[rep(a)] & b else 1))
+            return Sequence(tuple(build(k) for k in kids))
+        return Fallback(tuple(verts[i].label for i in range(n) if m >> i & 1))
+
+    return build(full)
 
 
 def _labels(node, kids: list[list[str]]) -> list[str]:

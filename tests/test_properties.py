@@ -14,6 +14,7 @@ from conftest import (
     bfs_components,
     brute_edges,
     brute_force_ordering_cut,
+    decomposition_layout,
     make_trace,
     reference_layout,
     tree_labels,
@@ -147,6 +148,15 @@ def test_build_layout_equals_recursive_reference(trace):
     # four labels repeat; equality includes the order of children.
     order = build_interval_order(trace)
     assert build_layout(order) == reference_layout(order)
+
+
+@given(traces(max_size=8))
+@example(make_trace([("a", 0, 2), ("b", 1, 4), ("c", 3, 6), ("d", 5, 7), ("e", 8, 8), ("a", 8, 8)]))
+@PROPERTY_SETTINGS
+def test_layout_is_the_collapsed_modular_decomposition(trace):
+    # An oracle from graph theory alone: strong modules of the comparability
+    # graph, enumerated over subsets, with every prime node a Fallback.
+    assert layout_trace(trace) == decomposition_layout(trace)
 
 
 @given(traces())
