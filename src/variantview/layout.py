@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring as json_string
 
-from .cuts import Run, ordering_blocks, parallel_blocks
+from .cuts import BY_COMPLETE, CutKind, Run, maximal_cut
 from .ingest import EventLog, Trace, group_by_case
 from .order import IntervalOrder
 
@@ -77,32 +77,40 @@ def layout_run(run: Run) -> LayoutTree:
 
     Deterministic: equal runs produce equal trees. Sequence and Parallel
     children appear in block order (time order for parallel components).
-    The walk keeps an explicit stack of sorted vertex runs, so tree depth is
-    not bounded by the recursion limit, and cuts each run in place: blocks
-    are slices or subsequences of their parent's run, never new suborders.
+    The run is sorted once more, by complete, and each level hands both
+    orders to :func:`maximal_cut`, whose blocks come in both orders again.
+    A block whose members all overlap, or a pair that does not, is laid out
+    without the kernel. The walk keeps an explicit stack of blocks, so tree
+    depth is not bounded by the recursion limit.
     """
     done: list[LayoutTree] = []
-    # Entries are (None, run) to cut a run, or (node class, child count) to
-    # assemble a node from the last finished children.
-    stack: list = [(None, run)]
+    # Entries are blocks to cut, or (node class, child count) to assemble a
+    # node from the last finished children.
+    stack: list = [(list(run), sorted(run, key=BY_COMPLETE))]
     while stack:
-        node, item = stack.pop()
-        if node is not None:
-            children = tuple(done[-item:])
-            del done[-item:]
+        entry = stack.pop()
+        if type(entry[1]) is int:
+            node, count = entry
+            children = tuple(done[-count:])
+            del done[-count:]
             done.append(node(children))
             continue
-        if len(item) == 1:
-            done.append(Leaf(item[0].label))
+        by_start, by_complete = entry
+        if len(by_start) == 1:
+            done.append(Leaf(by_start[0].label))
             continue
-        node, blocks = Sequence, ordering_blocks(item)
-        if len(blocks) < 2:
-            node, blocks = Parallel, parallel_blocks(item)
-            if len(blocks) < 2:
-                done.append(Fallback(tuple(v.label for v in item)))
-                continue
-        stack.append((node, len(blocks)))
-        stack.extend((None, b) for b in reversed(blocks))
+        if by_start[-1].start_ts <= by_complete[0].complete_ts:  # each overlaps all others
+            done.append(Parallel(tuple(Leaf(v.label) for v in by_start)))
+            continue
+        if len(by_start) == 2:  # a pair that does not overlap
+            done.append(Sequence((Leaf(by_start[0].label), Leaf(by_start[1].label))))
+            continue
+        kind, blocks = maximal_cut(by_start, by_complete)
+        if kind is CutKind.NONE:
+            done.append(Fallback(tuple(v.label for v in by_start)))
+            continue
+        stack.append((Sequence if kind is CutKind.ORDERING else Parallel, len(blocks)))
+        stack += reversed(blocks)
     return done[0]
 
 
@@ -170,10 +178,6 @@ def _repr(node: LayoutTree, kids: list[str]) -> str:
     return f"{type(node).__name__}(children=({inner}))"
 
 
-def has_fallback(tree: LayoutTree) -> bool:
-    return fold(tree, lambda node, kids: isinstance(node, Fallback) or any(kids))
-
-
 def _json_node(node: LayoutTree, kids: list[dict]) -> dict:
     if isinstance(node, Leaf):
         return {"kind": "leaf", "label": node.label}
@@ -187,20 +191,32 @@ def layout_to_json(tree: LayoutTree) -> dict:
     return fold(tree, _json_node)
 
 
-def _json_text(node: LayoutTree, kids: list[str]) -> str:
-    if isinstance(node, Leaf):
-        return '{"kind":"leaf","label":' + json_string(node.label) + "}"
-    if isinstance(node, Fallback):
-        labels = ",".join(map(json_string, node.labels))
-        return '{"kind":"fallback","labels":[' + labels + "]}"
-    kind = "seq" if isinstance(node, Sequence) else "par"
-    return '{"kind":"' + kind + '","children":[' + ",".join(kids) + "]}"
-
-
 def layout_json_text(tree: LayoutTree) -> str:
     """``layout_to_json(tree)`` as compact JSON text, equal to ``json.dumps``
-    with ``ensure_ascii=False, separators=(",", ":")`` but at any depth."""
-    return fold(tree, _json_text)
+    with ``ensure_ascii=False, separators=(",", ":")`` but at any depth. One
+    pre-order walk on an explicit stack appends the pieces, which are joined
+    once, so the time grows with the number of nodes, not with their depth."""
+    parts: list[str] = []
+    stack: list = [tree]
+    while stack:
+        node = stack.pop()
+        if type(node) is str:  # a separator or a closing bracket
+            parts.append(node)
+        elif isinstance(node, Leaf):
+            parts.append('{"kind":"leaf","label":' + json_string(node.label) + "}")
+        elif isinstance(node, Fallback):
+            labels = ",".join(map(json_string, node.labels))
+            parts.append('{"kind":"fallback","labels":[' + labels + "]}")
+        elif isinstance(node, (Sequence, Parallel)):
+            kind = "seq" if isinstance(node, Sequence) else "par"
+            parts.append('{"kind":"' + kind + '","children":[')
+            stack.append("]}")
+            for child in reversed(node.children[1:]):
+                stack += (child, ",")
+            stack.append(node.children[0])
+        else:
+            raise TypeError(f"not a layout tree: {node!r}")
+    return "".join(parts)
 
 
 _PAYLOAD = {"leaf": "label", "fallback": "labels", "seq": "children", "par": "children"}
@@ -252,9 +268,12 @@ class VariantTable:
     skipped: list[str] = field(default_factory=list)
 
     def add(self, key: str, tree: LayoutTree, case_id: str) -> None:
+        """Count ``tree``'s case under ``key``, which is ``canonical_form(tree)``.
+        The key holds an unescaped ``u{`` exactly when the tree holds a
+        Fallback, because ``escape_label`` writes a label's ``{`` as ``\\{``."""
         entry = self.entries.get(key)
         if entry is None:
-            self.entries[key] = VariantEntry(1, tree, [case_id], has_fallback(tree))
+            self.entries[key] = VariantEntry(1, tree, [case_id], "u{" in key)
         else:
             entry.count += 1
             entry.case_ids.append(case_id)

@@ -70,16 +70,27 @@ def _leaf_style(label: str, palette_seed: int) -> tuple[str, str]:
     return fill, _text_tail(label, _text_color(fill))
 
 
+# The text notation keeps to one line: after the structural escapes, a label's
+# line feed, carriage return and tab are written as \n, \r and \t.
+_TEXT_CONTROLS = str.maketrans({"\n": "\\n", "\r": "\\r", "\t": "\\t"})
+
+
+def _text_label(label: str) -> str:
+    return escape_label(label).translate(_TEXT_CONTROLS)
+
+
 def _text_node(node: LayoutTree, parts: list[str]) -> str:
     if isinstance(node, Leaf):
-        return escape_label(node.label)
+        return _text_label(node.label)
     if isinstance(node, Fallback):
-        return "unordered{" + ",".join(map(escape_label, node.labels)) + "}"
+        return "unordered{" + ",".join(map(_text_label, node.labels)) + "}"
     return ("seq(" if isinstance(node, Sequence) else "par(") + ",".join(parts) + ")"
 
 
 def render_text(tree: LayoutTree) -> str:
-    """Compact one-line notation: seq(...), par(...), unordered{...}, labels."""
+    """Compact one-line notation: seq(...), par(...), unordered{...}, labels.
+    Labels are escaped as in keys, and their LF, CR and tab become \\n, \\r
+    and \\t."""
     return fold(tree, _text_node)
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from variantview.cuts import CutKind, CutResult, find_cut
+from variantview.cuts import BY_COMPLETE, CutKind, CutResult, find_cut, maximal_cut
 from variantview.ingest import (
     ActivityInstance,
     ColumnMap,
@@ -170,6 +170,22 @@ def nested_trace(levels: int, case="deep") -> Trace:
     return make_trace(rows, case=case)
 
 
+def mirrored_nested_trace(levels: int, case="mirrored") -> Trace:
+    """``nested_trace`` mirrored in time: ``par(seq(Xk, ...), Yk)``.
+
+    Level k adds Xk, which completes before everything so far starts, and
+    Yk, which spans from Xk's complete to the end and so overlaps every other
+    instance. The trace has ``2 * levels + 1`` instances.
+    """
+    rows = [("L0", 0, 1)]
+    first = 0
+    for k in range(levels):
+        rows.append((f"X{k}", first - 2, first - 1))
+        rows.append((f"Y{k}", first - 1, 1))
+        first -= 2
+    return make_trace(rows, case=case)
+
+
 def brute_edges(instances) -> frozenset:
     """Pairwise double loop over the strict precedence definition."""
     return frozenset(
@@ -223,6 +239,76 @@ def as_cut(kind: CutKind, blocks) -> CutResult:
     if len(blocks) < 2:
         return CutResult(CutKind.NONE, ())
     return CutResult(kind, tuple(frozenset(v.id for v in b) for b in blocks))
+
+
+def kernel_blocks(kind: CutKind, run) -> list:
+    """``maximal_cut``'s blocks of a sorted run, each by start, when its cut is
+    of ``kind``; else the whole run as one block, as the reference kernels
+    below give it."""
+    found, blocks = maximal_cut(list(run), sorted(run, key=BY_COMPLETE))
+    return [b for b, _ in blocks] if found is kind else [list(run)]
+
+
+# Reference kernels: the two O(n) scans that ``maximal_cut`` replaced,
+# verbatim. Each reads the whole run, so a layout built on them costs
+# O(n * depth).
+
+
+def reference_ordering_blocks(verts) -> list:
+    """Blocks of the maximal ordering cut of a sorted run, as slices of it;
+    one block means no cut. A boundary opens before vertex v exactly when the
+    running maximum complete timestamp lies strictly below v's start."""
+    blocks = []
+    first = 0
+    horizon = verts[0].complete_ts
+    for i, v in enumerate(verts):
+        if horizon < v.start_ts:
+            blocks.append(verts[first:i])
+            first = i
+        if horizon < v.complete_ts:
+            horizon = v.complete_ts
+    blocks.append(verts[first:])
+    return blocks
+
+
+def reference_parallel_blocks(verts) -> list:
+    """Components of the maximal parallel cut of a sorted run (the connected
+    components of the relation graph), as sorted lists in the order of their
+    first members; one block means no cut.
+
+    Interval orders are 2+2-free, so at most one component has more than one
+    vertex: two such components would each hold an edge, a<b and c<d, with no
+    edge between them. Every other component is a single vertex overlapping
+    all the rest, which one test per vertex finds.
+    """
+    # v overlaps every vertex, itself included, iff it starts no later than
+    # the earliest complete and completes no earlier than the latest start.
+    earliest = min(v.complete_ts for v in verts)
+    latest = verts[-1].start_ts  # the run is sorted by start
+    blocks: list = []
+    core: list = []  # the one component with more than one vertex
+    for v in verts:
+        if v.start_ts <= earliest and v.complete_ts >= latest:
+            blocks.append([v])
+        else:
+            if not core:
+                blocks.append(core)
+            core.append(v)
+    return blocks
+
+
+def reference_kernel_layout(run):
+    """The layout by plain recursion on the reference kernels, as the layout
+    was built before ``maximal_cut``. Only for shallow trees."""
+    if len(run) == 1:
+        return Leaf(run[0].label)
+    for node, blocks in (
+        (Sequence, reference_ordering_blocks(run)),
+        (Parallel, reference_parallel_blocks(run)),
+    ):
+        if len(blocks) > 1:
+            return node(tuple(reference_kernel_layout(b) for b in blocks))
+    return Fallback(tuple(v.label for v in run))
 
 
 MAX_ORACLE_VERTICES = 16
@@ -328,6 +414,11 @@ def decomposition_layout(trace: Trace):
         return Fallback(tuple(verts[i].label for i in range(n) if m >> i & 1))
 
     return build(full)
+
+
+def has_fallback(tree) -> bool:
+    """Whether a tree holds a Fallback, by walking it."""
+    return fold(tree, lambda node, kids: isinstance(node, Fallback) or any(kids))
 
 
 def _labels(node, kids: list[list[str]]) -> list[str]:

@@ -18,13 +18,14 @@ import pytest
 from conftest import (
     DATA,
     as_cut,
+    kernel_blocks,
     bfs_components,
     brute_force_ordering_cut,
     random_trace,
     reference_layout,
 )
 from variantview.cli import main
-from variantview.cuts import CutKind, ordering_blocks, parallel_blocks
+from variantview.cuts import CutKind
 from variantview.ingest import ActivityInstance, Trace, group_by_case, parse_csv, parse_xes
 from variantview.layout import Fallback, build_layout, layout_trace, variant_table
 from variantview.order import IntervalOrder, build_interval_order, induced_suborder, validate
@@ -73,8 +74,8 @@ def test_criterion_2_same_variant_identification():
 def test_criterion_3_cut_exclusion(corpus):
     violations = 0
     for order in corpus:
-        ordering = len(ordering_blocks(order.vertices)) > 1
-        parallel = len(parallel_blocks(order.vertices)) > 1
+        ordering = len(kernel_blocks(CutKind.ORDERING, order.vertices)) > 1
+        parallel = len(kernel_blocks(CutKind.PARALLEL, order.vertices)) > 1
         if ordering and parallel:
             violations += 1
     assert violations == 0
@@ -86,10 +87,10 @@ def test_criterion_4_maximal_cut_correctness(corpus):
     ordering_mismatches = 0
     parallel_mismatches = 0
     for order in corpus:
-        ordering = as_cut(CutKind.ORDERING, ordering_blocks(order.vertices))
+        ordering = as_cut(CutKind.ORDERING, kernel_blocks(CutKind.ORDERING, order.vertices))
         if ordering != brute_force_ordering_cut(order):
             ordering_mismatches += 1
-        cut = as_cut(CutKind.PARALLEL, parallel_blocks(order.vertices))
+        cut = as_cut(CutKind.PARALLEL, kernel_blocks(CutKind.PARALLEL, order.vertices))
         components = bfs_components(order)
         if len(components) < 2:
             if cut.kind is not CutKind.NONE:

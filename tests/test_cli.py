@@ -7,15 +7,17 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import variantview
 from conftest import DATA
 from variantview import cli
 from variantview.cli import main
-from variantview.ingest import parse_csv
+from variantview.ingest import ActivityInstance, EventLog, parse_csv, write_csv
 from variantview.layout import variant_table
 from variantview.render import render_svg
 
@@ -485,3 +487,29 @@ def test_cli_import_does_not_load_numpy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+_ANY_TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=6)
+
+
+@given(st.lists(_ANY_TEXT, min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_text_variants_keep_one_line_per_variant(labels):
+    # Labels with line breaks and tabs, among others: each variant is one
+    # "<count>\t<notation>" line.
+    instances = tuple(
+        ActivityInstance(i, f"case{i % 3}", label, 10 * i, 10 * i + 15)
+        for i, label in enumerate(labels)
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        log_path, out_path = Path(tmp) / "log.csv", Path(tmp) / "variants.txt"
+        with log_path.open("w", encoding="utf-8", newline="") as dest:
+            write_csv(EventLog(instances), dest)
+        argv = ["variants", "--input", str(log_path), "--output-format", "text"]
+        assert main(argv + ["--output", str(out_path)]) == 0
+        text = out_path.read_bytes().decode("utf-8")
+        variants = len(variant_table(parse_csv(log_path)).entries)
+    lines = text.split("\n")
+    assert lines.pop() == ""
+    assert len(lines) == variants
+    assert all(line.count("\t") == 1 for line in lines)

@@ -1,5 +1,5 @@
-"""Cut detection: the kernels and ``find_cut`` against the enumeration oracle
-and reachability."""
+"""Cut detection: the kernel (through ``kernel_blocks``) and ``find_cut``
+against the enumeration oracle and reachability."""
 
 from __future__ import annotations
 
@@ -11,12 +11,13 @@ import variantview
 
 from conftest import (
     as_cut,
+    kernel_blocks,
     bfs_components,
     brute_force_ordering_cut,
     make_trace,
     random_trace,
 )
-from variantview.cuts import CutKind, CutResult, find_cut, ordering_blocks, parallel_blocks
+from variantview.cuts import CutKind, CutResult, find_cut
 from variantview.ingest import Trace
 from variantview.order import build_interval_order, induced_suborder
 
@@ -29,7 +30,7 @@ def _labels(order, groups):
 class TestMaximalOrderingCut:
     def test_worked_example_three_blocks(self, worked_case):
         order = build_interval_order(worked_case)
-        cut = as_cut(CutKind.ORDERING, ordering_blocks(order.vertices))
+        cut = as_cut(CutKind.ORDERING, kernel_blocks(CutKind.ORDERING, order.vertices))
         assert cut.kind is CutKind.ORDERING
         assert _labels(order, cut.groups) == [
             ["A", "B", "C", "D", "E"],
@@ -39,22 +40,22 @@ class TestMaximalOrderingCut:
 
     def test_two_overlapping_instances(self):
         order = build_interval_order(make_trace([("A", 0, 10), ("B", 5, 15)]))
-        assert len(ordering_blocks(order.vertices)) == 1
+        assert len(kernel_blocks(CutKind.ORDERING, order.vertices)) == 1
 
     def test_matches_oracle_on_randoms(self):
         rng = random.Random(21)
         for _ in range(300):
             order = build_interval_order(random_trace(rng, max_size=10))
-            cut = as_cut(CutKind.ORDERING, ordering_blocks(order.vertices))
+            cut = as_cut(CutKind.ORDERING, kernel_blocks(CutKind.ORDERING, order.vertices))
             assert cut == brute_force_ordering_cut(order)
 
 
 class TestMaximalParallelCut:
     def test_components_of_first_block(self, worked_case):
         order = build_interval_order(worked_case)
-        first_block = ordering_blocks(order.vertices)[0]
+        first_block = kernel_blocks(CutKind.ORDERING, order.vertices)[0]
         sub = induced_suborder(order, {v.id for v in first_block})
-        cut = as_cut(CutKind.PARALLEL, parallel_blocks(sub.vertices))
+        cut = as_cut(CutKind.PARALLEL, kernel_blocks(CutKind.PARALLEL, sub.vertices))
         assert cut.kind is CutKind.PARALLEL
         assert _labels(sub, cut.groups) == [["A", "B", "D", "E"], ["C"]]
 
@@ -62,13 +63,13 @@ class TestMaximalParallelCut:
         order = build_interval_order(
             make_trace([("a", 0, 1), ("b", 2, 3), ("c", 4, 5)])
         )
-        assert len(parallel_blocks(order.vertices)) == 1
+        assert len(kernel_blocks(CutKind.PARALLEL, order.vertices)) == 1
 
     def test_matches_reachability_on_randoms(self):
         rng = random.Random(22)
         for _ in range(300):
             order = build_interval_order(random_trace(rng, max_size=10))
-            cut = as_cut(CutKind.PARALLEL, parallel_blocks(order.vertices))
+            cut = as_cut(CutKind.PARALLEL, kernel_blocks(CutKind.PARALLEL, order.vertices))
             expected = bfs_components(order)
             if len(expected) < 2:
                 assert cut.kind is CutKind.NONE
@@ -79,7 +80,7 @@ class TestMaximalParallelCut:
         order = build_interval_order(
             make_trace([("late", 50, 60), ("early", 0, 100), ("mid", 20, 30)])
         )
-        cut = as_cut(CutKind.PARALLEL, parallel_blocks(order.vertices))
+        cut = as_cut(CutKind.PARALLEL, kernel_blocks(CutKind.PARALLEL, order.vertices))
         assert cut.kind is CutKind.PARALLEL
         starts = [
             min(v.start_ts for v in order.vertices if v.id in g) for g in cut.groups
@@ -146,8 +147,8 @@ class TestCutLaws:
         rng = random.Random(23)
         for _ in range(500):
             order = build_interval_order(random_trace(rng))
-            ordering = len(ordering_blocks(order.vertices)) > 1
-            parallel = len(parallel_blocks(order.vertices)) > 1
+            ordering = len(kernel_blocks(CutKind.ORDERING, order.vertices)) > 1
+            parallel = len(kernel_blocks(CutKind.PARALLEL, order.vertices)) > 1
             assert not (ordering and parallel)
 
     def test_detectors_invariant_under_vertex_permutation(self):
@@ -165,7 +166,7 @@ class TestCutLaws:
         checked = 0
         while checked < 50:
             order = build_interval_order(random_trace(rng))
-            cut = as_cut(CutKind.ORDERING, ordering_blocks(order.vertices))
+            cut = as_cut(CutKind.ORDERING, kernel_blocks(CutKind.ORDERING, order.vertices))
             if cut.kind is not CutKind.ORDERING:
                 continue
             checked += 1
@@ -200,7 +201,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned_and_resolve():
-    # The cut API is the two kernels plus find_cut; the oracle lives in the tests.
+    # The cut API is the kernel plus find_cut; the oracles live in the tests.
     assert variantview.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(variantview, name) is not None

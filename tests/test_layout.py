@@ -6,13 +6,22 @@ import ast
 import dataclasses
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
 
 import variantview
 
-from conftest import DATA, make_trace, nested_trace, random_trace, tree_labels
+from conftest import (
+    DATA,
+    has_fallback,
+    make_trace,
+    mirrored_nested_trace,
+    nested_trace,
+    random_trace,
+    tree_labels,
+)
 from variantview.cli import main
 from variantview.ingest import EventLog, Trace, parse_csv, write_csv
 from variantview.layout import (
@@ -23,7 +32,6 @@ from variantview.layout import (
     build_layout,
     canonical_form,
     escape_label,
-    has_fallback,
     layout_from_json,
     layout_json_text,
     layout_to_json,
@@ -238,6 +246,28 @@ def test_has_fallback_walks_nested_trees():
     tree = Sequence((Leaf("A"), Parallel((Leaf("B"), Fallback(("C", "D"))))))
     assert has_fallback(tree)
     assert not has_fallback(WORKED_TREE)
+
+
+def test_nesting_20000_levels_deep_is_laid_out_in_time_linear_in_depth():
+    # Each level peels two instances off a run of up to 40,001. Cutting by
+    # scanning whole runs takes minutes here; the two-ended kernel takes
+    # about a second. The keys are compared outside the timed part, since
+    # each level of a key copies its subtree's text.
+    levels = 20_000
+    for trace, opening, closing in (
+        (nested_trace(levels), "p(Y{k},s(", ",X{k}))"),
+        (mirrored_nested_trace(levels), "p(Y{k},s(X{k},", "))"),
+    ):
+        started = time.perf_counter()
+        tree = layout_trace(trace)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 10.0
+        expected = (
+            "".join(opening.format(k=k) for k in reversed(range(levels)))
+            + "L0"
+            + "".join(closing.format(k=k) for k in range(levels))
+        )
+        assert canonical_form(tree) == expected
 
 
 def test_deeply_nested_trace_is_cut_keyed_and_counted(tmp_path, capsys):

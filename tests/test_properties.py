@@ -15,12 +15,18 @@ from conftest import (
     brute_edges,
     brute_force_ordering_cut,
     decomposition_layout,
+    has_fallback,
+    kernel_blocks,
     make_trace,
+    nested_trace,
+    reference_kernel_layout,
+    reference_ordering_blocks,
+    reference_parallel_blocks,
     reference_layout,
     tree_labels,
 )
 from test_render import parse_render_text
-from variantview.cuts import CutKind, find_cut, ordering_blocks, parallel_blocks
+from variantview.cuts import BY_COMPLETE, CutKind, find_cut, maximal_cut
 from variantview.ingest import (
     ActivityInstance,
     EventLog,
@@ -40,6 +46,7 @@ from variantview.layout import (
     fold,
     layout_from_json,
     layout_json_text,
+    layout_run,
     layout_to_json,
     layout_trace,
     variant_table,
@@ -103,7 +110,8 @@ def test_restriction_commutes_with_construction(trace, data):
 def test_cuts_cannot_coexist(trace):
     order = build_interval_order(trace)
     assert not (
-        len(ordering_blocks(order.vertices)) > 1 and len(parallel_blocks(order.vertices)) > 1
+        len(kernel_blocks(CutKind.ORDERING, order.vertices)) > 1
+        and len(kernel_blocks(CutKind.PARALLEL, order.vertices)) > 1
     )
 
 
@@ -111,7 +119,7 @@ def test_cuts_cannot_coexist(trace):
 @PROPERTY_SETTINGS
 def test_sweep_equals_enumeration_oracle(trace):
     order = build_interval_order(trace)
-    cut = as_cut(CutKind.ORDERING, ordering_blocks(order.vertices))
+    cut = as_cut(CutKind.ORDERING, kernel_blocks(CutKind.ORDERING, order.vertices))
     assert cut == brute_force_ordering_cut(order)
 
 
@@ -119,7 +127,7 @@ def test_sweep_equals_enumeration_oracle(trace):
 @PROPERTY_SETTINGS
 def test_parallel_cut_equals_reachability(trace):
     order = build_interval_order(trace)
-    cut = as_cut(CutKind.PARALLEL, parallel_blocks(order.vertices))
+    cut = as_cut(CutKind.PARALLEL, kernel_blocks(CutKind.PARALLEL, order.vertices))
     components = bfs_components(order)
     if len(components) < 2:
         assert cut.kind is CutKind.NONE
@@ -150,6 +158,84 @@ def test_build_layout_equals_recursive_reference(trace):
     assert build_layout(order) == reference_layout(order)
 
 
+@st.composite
+def runs(draw, max_size=16):
+    """Sorted runs with ties, atomic instances and repeated labels."""
+    n = draw(st.integers(1, max_size))
+    span = draw(st.sampled_from((3, 10, 40)))
+    rows = []
+    for _ in range(n):
+        start = draw(st.integers(0, span))
+        rows.append((draw(_PLAIN), start, start + draw(st.integers(0, span // 2))))
+    return make_trace(rows).instances
+
+
+@st.composite
+def long_runs(draw):
+    """Runs of 34 to 160 instances: random intervals, a few that span them
+    all, and a nesting like ``nested_trace`` after them. They reach the
+    kernel's bisection search and its in-place deletions."""
+    n = draw(st.integers(34, 120))
+    span = draw(st.sampled_from((20, 200, 2000)))
+    rows = []
+    for _ in range(n):
+        start = draw(st.integers(0, span))
+        rows.append((draw(_PLAIN), start, start + draw(st.integers(0, span // 8))))
+    end = span * 2
+    rows += [("z", 0, end)] * draw(st.integers(0, 3))
+    for k in range(draw(st.integers(0, 20))):
+        rows.append(("x", end + 1, end + 1 + draw(st.integers(0, 2))))
+        rows.append(("y", draw(st.sampled_from((0, 1))), end + 1 + draw(st.integers(0, 1))))
+        end += 4
+    return make_trace(rows).instances
+
+
+# The singleton search reads the start-order prefix, where y is a singleton
+# that touches the latest start.
+TOUCHING_SINGLETON = make_trace(
+    [("x", 0, 1), ("y", 1, 50), ("e", 50, 51)] + [("c", i, i + 1) for i in range(2, 32)]
+).instances
+
+
+@given(runs() | long_runs())
+@example(make_trace([("a", 0, 9), ("b", 1, 2), ("c", 3, 4), ("d", 0, 9)]).instances)
+@example(make_trace([("a", 0, 1), ("b", 2, 3), ("c", 2, 3), ("d", 5, 5), ("a", 5, 5)]).instances)
+@example(nested_trace(40).instances)
+@example(TOUCHING_SINGLETON)
+@PROPERTY_SETTINGS
+def test_kernel_equals_reference_kernels(run):
+    kind, blocks = maximal_cut(list(run), sorted(run, key=BY_COMPLETE))
+    ordering = reference_ordering_blocks(run)
+    parallel = reference_parallel_blocks(run)
+    if len(ordering) > 1:
+        expected = CutKind.ORDERING, ordering
+    elif len(parallel) > 1:
+        expected = CutKind.PARALLEL, parallel
+    else:
+        expected = CutKind.NONE, []
+    # Same kind, same blocks, same block order; each block also comes by
+    # complete, as the stable sort of its start order.
+    assert (kind, [list(b) for b, _ in blocks]) == (expected[0], [list(b) for b in expected[1]])
+    for by_start, by_complete in blocks:
+        assert by_complete == sorted(by_start, key=BY_COMPLETE)
+
+
+@given(long_runs())
+@example(nested_trace(40).instances)
+@example(TOUCHING_SINGLETON)
+@PROPERTY_SETTINGS
+def test_layout_run_equals_reference_kernel_layout_on_long_runs(run):
+    assert layout_run(run) == reference_kernel_layout(run)
+
+
+@given(traces(labels=st.text(alphabet="u{}\\,()ab", max_size=4)) | traces(labels=st.text()))
+@PROPERTY_SETTINGS
+def test_fallback_flag_read_from_key(trace):
+    # An unescaped "u{" in a key is written only by a Fallback.
+    tree = layout_trace(trace)
+    assert ("u{" in canonical_form(tree)) == has_fallback(tree)
+
+
 @given(traces(max_size=8))
 @example(make_trace([("a", 0, 2), ("b", 1, 4), ("c", 3, 6), ("d", 5, 7), ("e", 8, 8), ("a", 8, 8)]))
 @PROPERTY_SETTINGS
@@ -166,7 +252,7 @@ def test_sweep_agrees_on_induced_suborders(trace):
     cut = find_cut(order)
     for group in cut.groups:
         sub = induced_suborder(order, group)
-        cut = as_cut(CutKind.ORDERING, ordering_blocks(sub.vertices))
+        cut = as_cut(CutKind.ORDERING, kernel_blocks(CutKind.ORDERING, sub.vertices))
         assert cut == brute_force_ordering_cut(sub)
 
 

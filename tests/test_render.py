@@ -19,8 +19,13 @@ from variantview.layout import (
 from variantview.render import _leaf_style, label_color, render_svg, render_text
 
 
+_CONTROLS = {"n": "\n", "r": "\r", "t": "\t"}
+
+
 def parse_render_text(text: str):
-    """Independent parser for the render_text notation (test helper)."""
+    """Independent parser for the render_text notation (test helper). A
+    backslash escapes the next character, and \\n, \\r and \\t stand for LF,
+    CR and tab."""
     pos = 0
 
     def read_label(stop: str) -> str:
@@ -29,7 +34,9 @@ def parse_render_text(text: str):
         while pos < len(text) and text[pos] not in stop:
             if text[pos] == "\\":
                 pos += 1
-            out.append(text[pos])
+                out.append(_CONTROLS.get(text[pos], text[pos]))
+            else:
+                out.append(text[pos])
             pos += 1
         return "".join(out)
 
@@ -77,6 +84,17 @@ class TestRenderText:
 
     def test_escapes_structural_characters(self):
         assert render_text(Leaf("a,b(c")) == "a\\,b\\(c"
+
+    def test_line_breaks_and_tabs_are_escaped(self):
+        tree = Sequence((Leaf("a\nb"), Fallback(("c\td", "e\r"))))
+        text = render_text(tree)
+        assert text == "seq(a\\nb,unordered{c\\td,e\\r})"
+        assert parse_render_text(text) == tree
+        # A backslash before n stays a backslash and an n.
+        assert parse_render_text(render_text(Leaf("\\n"))) == Leaf("\\n")
+        # Keys and layout JSON keep the label as it is.
+        assert canonical_form(tree) == "s(a\nb,u{c\td,e\r})"
+        assert '"a\\nb"' in layout_json_text(tree)
 
     def test_round_trip_on_randoms(self):
         rng = random.Random(41)
